@@ -24,7 +24,7 @@ del _os, _var
 from .config import RunConfig
 from .data import Dataset, load_csv, standardize, train_test_split
 from .dist import WorkerPool, col_dist_matmul, row_dist_matmul
-from .dpp import DppModel, expected_projection_mc, lemma2_lower_bound, sample_kdpp, smoothed_condition
+from .dpp import DppModel, expected_projection_mc, lemma2_lower_bound, smoothed_condition
 from .errors import (
     ConfigError,
     ContractError,
@@ -43,9 +43,8 @@ from .gp import (
     pathwise_sample,
     posterior_mean,
     rmse,
-    sample_prior,
 )
-from .kernels import DenseOracle, KernelOracle, KernelSpec, block_block, block_rows_times, kernel_eval
+from .kernels import DenseOracle, KernelOracle, KernelSpec, kernel_eval
 from .randnla import NystromFactor, apply_inv, apply_inv_plain, apply_inv_sqrt, rand_nystrom, rand_nystrom_retry, rand_power_stepsize
 from .solvers import (
     AccelParams,
@@ -59,7 +58,6 @@ from .solvers import (
     sap_step,
     sdd_solve,
     solve,
-    tail_average,
 )
 from .theory import (
     SpectralBasis,

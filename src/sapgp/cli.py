@@ -275,7 +275,8 @@ def _verify_pathwise(seed):
 def cmd_verify(args):
     tree = _effective_config(args)
     run_section = tree.get("run", {})
-    seed = int(run_section.get("seed", 0))
+    run_config = RunConfig(seed=run_section.get("seed", 0), lam=run_section.get("lam", 1e-3))
+    seed = run_config.seed
     section = dict(tree.get("verify", {}))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -321,7 +322,6 @@ def cmd_verify(args):
     report.to_json(out_dir / f"report_{suite}.json")
     if report.gridpoints:
         report.to_csv(out_dir / f"report_{suite}.csv")
-    run_config = RunConfig.from_dict({"seed": seed, "lam": run_section.get("lam", 1e-3)})
     _manifest(out_dir, f"verify:{suite}", tree, run_config, [f"report_{suite}.json"])
     print(f"verify {suite}: {'PASS' if report.passed else 'FAIL'}")
     return EXIT_OK if report.passed else EXIT_FAILED

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -12,6 +13,22 @@ from .kernels import FAMILIES, KernelSpec
 
 SOLVERS = ("sap", "adasap", "adasap_i", "sdd", "pcg")
 SAMPLERS = ("uniform", "kdpp")
+_INT_FIELDS = ("blocksize", "nystrom_rank", "max_iters", "seed", "num_workers", "residual_every")
+_REAL_FIELDS = ("lam", "max_passes", "mu", "nu", "stepsize_scale", "tol")
+_OPTIONAL = ("blocksize", "nystrom_rank", "max_passes", "max_iters", "tol")
+
+
+def _number(name, value, integral):
+    """A finite real (a whole number, returned as int, if ``integral``)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    if not integral:
+        return value
+    if value != int(value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -36,6 +53,11 @@ class RunConfig:
     grad_eval_point: str = "z"
 
     def __post_init__(self):
+        for name in _INT_FIELDS + _REAL_FIELDS:
+            value = getattr(self, name)
+            if value is None and name in _OPTIONAL or value == "default" and name in ("mu", "nu"):
+                continue
+            setattr(self, name, _number(name, value, integral=name in _INT_FIELDS))
         if not self.lam > 0.0:
             raise ConfigError("lam must be positive")
         if self.solver_id not in SOLVERS:
@@ -44,21 +66,19 @@ class RunConfig:
             raise ConfigError(f"sampler must be one of {SAMPLERS}")
         if self.grad_eval_point not in ("z", "w"):
             raise ConfigError("grad_eval_point must be 'z' or 'w'")
-        if int(self.seed) < 0:
+        if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
-        self.seed = int(self.seed)
-        if int(self.num_workers) < 1:
+        if self.num_workers < 1:
             raise ConfigError("num_workers must be >= 1")
-        self.num_workers = int(self.num_workers)
         if self.max_passes is None and self.max_iters is None:
             raise ConfigError("need max_passes or max_iters")
         for name in ("mu", "nu"):
             value = getattr(self, name)
-            if value != "default" and not float(value) > 0.0:
+            if value != "default" and not value > 0.0:
                 raise ConfigError(f"{name} must be positive or 'default'")
-        if self.blocksize is not None and int(self.blocksize) < 1:
+        if self.blocksize is not None and self.blocksize < 1:
             raise ConfigError("blocksize must be >= 1")
-        if self.nystrom_rank is not None and int(self.nystrom_rank) < 0:
+        if self.nystrom_rank is not None and self.nystrom_rank < 0:
             raise ConfigError("nystrom_rank must be >= 0")
         if self.residual_every < 0:
             raise ConfigError("residual_every must be >= 0")

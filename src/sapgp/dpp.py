@@ -262,29 +262,17 @@ def expected_projection_mc(model, num_samples, seed, basis="standard"):
         raise ContractError("expected projection estimation is dense work (n <= 512)")
     if num_samples < 2:
         raise ContractError("need at least two samples for standard errors")
-    half = model._half_matrix(basis)
     total = np.zeros((n, n))
     total_sq = np.zeros((n, n))
     for i in range(num_samples):
         block = model.sample(as_generator(_spawn_seed(seed, i)))
-        VB = model.eigvecs[block, :]
-        core = (VB * model.eigvals) @ VB.T
-        w, Q = np.linalg.eigh(0.5 * (core + core.T))
-        cutoff = n * np.finfo(np.float64).eps * max(w[-1], 0.0)
-        keep = w > cutoff
-        G = half[:, block] @ (Q[:, keep] / np.sqrt(w[keep]))
-        proj = G @ G.T
+        proj = model.projection_matrix(block, basis)
         total += proj
         total_sq += proj * proj
     mean = total / num_samples
     var = np.maximum(total_sq / num_samples - mean * mean, 0.0)
     stderr = np.sqrt(var / num_samples)
     return ProjectionEstimate(mean, stderr, num_samples, basis)
-
-
-def sample_kdpp(model, seed):
-    """Exact fixed-size DPP sample of row indices (sorted)."""
-    return model.sample(seed)
 
 
 def _spawn_seed(seed, index):

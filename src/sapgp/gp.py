@@ -75,23 +75,6 @@ def kernel_estimate(rfm, Xa, Xb):
     return rfm.features(Xa) @ rfm.features(Xb).T
 
 
-class PriorFunction:
-    """One prior draw f(.) = phi(.)^T theta; cheap to evaluate anywhere."""
-
-    def __init__(self, rfm, weights):
-        self.rfm = rfm
-        self.weights = np.asarray(weights, dtype=np.float64)
-
-    def __call__(self, X):
-        return self.rfm.features(X) @ self.weights
-
-
-def sample_prior(rfm, seed):
-    """Draw a prior function with standard normal feature weights."""
-    theta = as_generator(seed).standard_normal(rfm.num_features)
-    return PriorFunction(rfm, theta)
-
-
 # ---------------------------------------------------------------------------
 # prior samplers over fixed train/test locations
 
@@ -108,10 +91,6 @@ class RandomFeaturePrior:
         """(train values, test values, feature-space weights q x s)."""
         theta = as_generator(seed).standard_normal((self.rfm.num_features, num_samples))
         return self._phi_train @ theta, self._phi_test @ theta, theta
-
-    def draw_values(self, seed, num_samples):
-        train, test, _ = self.draw_state(seed, num_samples)
-        return train, test
 
 
 class ExactPrior:
@@ -138,10 +117,6 @@ class ExactPrior:
             (self._chol.shape[0], num_samples)
         )
         return draws[: self._n], draws[self._n :], None
-
-    def draw_values(self, seed, num_samples):
-        train, test, _ = self.draw_state(seed, num_samples)
-        return train, test
 
 
 # ---------------------------------------------------------------------------

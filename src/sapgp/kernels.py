@@ -210,12 +210,3 @@ class DenseOracle:
     def cross_matmul(self, Xstar, W):
         raise ContractError("a dense test oracle has no input points")
 
-
-def block_rows_times(oracle, block, M, pool=None):
-    """K[block, :] @ M, matrix-free; bitwise independent of worker count."""
-    return dist.col_dist_matmul(oracle, M, block, pool)
-
-
-def block_block(oracle, block):
-    """Exact dense K[block, block]."""
-    return oracle.block(block)

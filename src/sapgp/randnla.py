@@ -130,7 +130,8 @@ def apply_inv(factor, rho, g):
             RuntimeWarning,
         )
         return apply_inv_plain(factor, rho, g)
-    core = scipy.linalg.cho_solve(chol, U.T @ g)
+    # unchecked, so a diverging solver's non-finite g flows into its iterate
+    core = scipy.linalg.cho_solve(chol, U.T @ g, check_finite=False)
     return (g - U @ core) / rho
 
 

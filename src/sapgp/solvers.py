@@ -4,6 +4,7 @@ All solvers consume an oracle (``kernels.KernelOracle`` or a dense test
 oracle), touch the kernel matrix only through block products, and append to a
 ConvergenceTrace. Budgets are expressed in passes over the kernel matrix;
 one block iteration costs blocksize/n of a pass, one full matvec costs one.
+The block solvers (sap, adasap, adasap_i, sdd) share one loop, ``_drive``.
 """
 
 from __future__ import annotations
@@ -51,19 +52,6 @@ class AccelParams:
     @property
     def alpha(self):
         return 1.0 / (1.0 + self.gamma * self.nu)
-
-
-@dataclass(frozen=True)
-class RawAccel:
-    """Direct mixing coefficients, for ablations such as (1, 0, 0), which
-    turns the accelerated update into plain iteration on Z."""
-
-    beta: float
-    gamma: float
-    alpha: float
-
-
-NO_ACCELERATION = RawAccel(beta=1.0, gamma=0.0, alpha=0.0)
 
 
 def resolve_accel(config, n, blocksize):
@@ -174,17 +162,6 @@ class TailAverager:
         return self._sum / self.count
 
 
-def tail_average(iterates):
-    """Arithmetic mean of an explicit window of iterates."""
-    items = list(iterates)
-    if not items:
-        raise ContractError("empty tail-average window")
-    total = np.zeros_like(np.asarray(items[0], dtype=np.float64))
-    for item in items:
-        total += item
-    return total / len(items)
-
-
 @dataclass
 class SolverState:
     """Iterate triple; V and Z alias W whenever acceleration is off."""
@@ -262,6 +239,59 @@ def _uniform_block(seed, iteration, n, blocksize):
     return np.sort(rng.choice(n, size=blocksize, replace=False))
 
 
+def _due(every, t, total):
+    return t == total - 1 or every > 0 and (t + 1) % every == 0
+
+
+def _drive(oracle, Y2, vector, config, blocksize, step, current, on_iterate,
+           total=None, tail_average=False):
+    """The block-iteration loop shared by sap, adasap, adasap_i and sdd.
+
+    ``step(t)`` runs iteration t and returns (block, stepsize); ``current()``
+    returns the iterate. A non-finite iterate after any step (recorded as an
+    infinite residual) or a residual above DIVERGENCE_FACTOR stops the run as
+    diverged. With ``tail_average`` residuals and the tol test use the iterate
+    that would be returned: the running tail average once its window opens.
+    """
+    n = oracle.n
+    if total is None:
+        total = budget_iterations(config, blocksize / n)
+    averager = TailAverager(total, Y2.shape) if tail_average else None
+    ynorm = max(np.linalg.norm(Y2), np.finfo(np.float64).tiny)
+    trace = ConvergenceTrace()
+    diverged = False
+    iters_done = 0
+
+    def reported():
+        if averager is not None and averager.count > 0:
+            return averager.average()
+        return current()
+
+    for t in range(total):
+        block, stepsize = step(t)
+        iters_done = t + 1
+        W = current()
+        if averager is not None:
+            averager.add(iters_done, W)
+        if on_iterate is not None:
+            on_iterate(iters_done, W)
+        relres = math.nan
+        if not np.isfinite(W).all():
+            relres = math.inf
+        elif _due(config.residual_every, t, total):
+            relres = _relative_residual(oracle, reported(), Y2, ynorm)
+        passes = iters_done * blocksize / n
+        trace.record(iters_done, passes, relres, stepsize, _block_hash(block))
+        if relres > DIVERGENCE_FACTOR:
+            diverged = True
+            break
+        if config.tol is not None and relres <= config.tol:
+            break
+    W_out = reported()
+    passes = iters_done * blocksize / n
+    return SolveResult(W_out[:, 0] if vector else W_out, trace, diverged, iters_done, passes)
+
+
 # ---------------------------------------------------------------------------
 # exact sketch-and-project
 
@@ -306,52 +336,18 @@ def sap_solve(oracle, Y, config, sampler="uniform", dpp_model=None, pool=None, o
             raise ConfigError("config blocksize disagrees with the DPP sample size")
     else:
         blocksize = resolve_blocksize(config, n)
-    total = budget_iterations(config, blocksize / n)
     state = SolverState.zeros(n, Y2.shape[1], accelerated=False)
-    averager = TailAverager(total, Y2.shape) if config.tail_average else None
-    ynorm = max(np.linalg.norm(Y2), np.finfo(np.float64).tiny)
-    trace = ConvergenceTrace()
-    diverged = False
-    iters_done = 0
-    for t in range(total):
+
+    def step(t):
         if sampler == "uniform":
             block = _uniform_block(config.seed, t, n, blocksize)
         else:
             block = dpp_model.sample(substream(config.seed, "block", t))
         sap_step(oracle, state, block, Y2, pool)
-        iters_done = t + 1
-        if averager is not None:
-            averager.add(iters_done, state.W)
-        if on_iterate is not None:
-            on_iterate(iters_done, state.W)
-        passes = iters_done * blocksize / n
-        relres = math.nan
-        if _due(config.residual_every, t, total):
-            relres = _relative_residual(oracle, state.W, Y2, ynorm)
-        trace.record(iters_done, passes, relres, 1.0, _block_hash(block))
-        if np.isfinite(relres):
-            if relres > DIVERGENCE_FACTOR or not np.all(np.isfinite(state.W)):
-                diverged = True
-                break
-            if config.tol is not None and relres <= config.tol:
-                break
-    if averager is not None and averager.count > 0:
-        W_out = averager.average()
-    else:
-        W_out = state.W
-    return SolveResult(
-        W_out[:, 0] if vector else W_out,
-        trace,
-        diverged,
-        iters_done,
-        iters_done * blocksize / n,
-    )
+        return block, 1.0
 
-
-def _due(every, t, total):
-    if every <= 0:
-        return t == total - 1
-    return (t + 1) % every == 0 or t == total - 1
+    return _drive(oracle, Y2, vector, config, blocksize, step, lambda: state.W, on_iterate,
+                  tail_average=config.tail_average)
 
 
 # ---------------------------------------------------------------------------
@@ -416,44 +412,14 @@ def adasap_solve(oracle, Y, config, identity_precond=False, pool=None, on_iterat
     blocksize = resolve_blocksize(config, n)
     if accel is None:
         accel = resolve_accel(config, n, blocksize)
-    total = budget_iterations(config, blocksize / n)
     state = SolverState.zeros(n, Y2.shape[1], accelerated=True)
-    averager = TailAverager(total, Y2.shape) if config.tail_average else None
-    ynorm = max(np.linalg.norm(Y2), np.finfo(np.float64).tiny)
-    trace = ConvergenceTrace()
-    diverged = False
-    iters_done = 0
-    for t in range(total):
-        state, eta, block = adasap_step(
-            oracle, state, Y2, config, accel, pool, identity_precond
-        )
-        iters_done = t + 1
-        if averager is not None:
-            averager.add(iters_done, state.W)
-        if on_iterate is not None:
-            on_iterate(iters_done, state.W)
-        passes = iters_done * blocksize / n
-        relres = math.nan
-        if _due(config.residual_every, t, total):
-            relres = _relative_residual(oracle, state.W, Y2, ynorm)
-        trace.record(iters_done, passes, relres, eta, _block_hash(block))
-        if np.isfinite(relres):
-            if relres > DIVERGENCE_FACTOR or not np.all(np.isfinite(state.W)):
-                diverged = True
-                break
-            if config.tol is not None and relres <= config.tol:
-                break
-    if averager is not None and averager.count > 0:
-        W_out = averager.average()
-    else:
-        W_out = state.W
-    return SolveResult(
-        W_out[:, 0] if vector else W_out,
-        trace,
-        diverged,
-        iters_done,
-        iters_done * blocksize / n,
-    )
+
+    def step(t):
+        _, eta, block = adasap_step(oracle, state, Y2, config, accel, pool, identity_precond)
+        return block, eta
+
+    return _drive(oracle, Y2, vector, config, blocksize, step, lambda: state.W, on_iterate,
+                  tail_average=config.tail_average)
 
 
 # ---------------------------------------------------------------------------
@@ -465,56 +431,32 @@ def sdd_solve(oracle, Y, config, pool=None, on_iterate=None):
     iterate averaging.
 
     The raw block gradient is applied with stepsize scale/n, momentum 0.9,
-    and averaging parameter 100/T. A residual above 1e6 times the initial one
-    (or a non-finite iterate) marks the run as diverged.
+    and averaging parameter 100/T. The reported iterate is the geometric
+    average; divergence is detected by the shared block-solver loop.
     """
     n = oracle.n
     lam = oracle.lam
     Y2, vector = _as_columns(Y, n)
     blocksize = resolve_blocksize(config, n)
     total = budget_iterations(config, blocksize / n)
-    scale = float(config.stepsize_scale)
-    eta = scale / n
+    eta = float(config.stepsize_scale) / n
     avg_weight = min(1.0, 100.0 / total)
     w = np.zeros_like(Y2)
     velocity = np.zeros_like(Y2)
     estimate = np.zeros_like(Y2)
-    ynorm = max(np.linalg.norm(Y2), np.finfo(np.float64).tiny)
-    trace = ConvergenceTrace()
-    diverged = False
-    iters_done = 0
-    for t in range(total):
+
+    def step(t):
         block = _uniform_block(config.seed, t, n, blocksize)
         with np.errstate(over="ignore", invalid="ignore"):
             grad = col_dist_matmul(oracle, w, block, pool) + lam * w[block] - Y2[block]
-            velocity *= SDD_MOMENTUM
+            velocity[...] *= SDD_MOMENTUM
             velocity[block] -= eta * grad
-            w += velocity
-            estimate += avg_weight * (w - estimate)
-        iters_done = t + 1
-        if on_iterate is not None:
-            on_iterate(iters_done, estimate)
-        passes = iters_done * blocksize / n
-        relres = math.nan
-        if _due(config.residual_every, t, total):
-            if not np.all(np.isfinite(w)):
-                relres = math.inf
-            else:
-                relres = _relative_residual(oracle, estimate, Y2, ynorm)
-        trace.record(iters_done, passes, relres, eta, _block_hash(block))
-        if not math.isnan(relres):
-            if not np.isfinite(relres) or relres > DIVERGENCE_FACTOR:
-                diverged = True
-                break
-            if config.tol is not None and relres <= config.tol:
-                break
-    return SolveResult(
-        estimate[:, 0] if vector else estimate,
-        trace,
-        diverged,
-        iters_done,
-        iters_done * blocksize / n,
-    )
+            w[...] += velocity
+            estimate[...] += avg_weight * (w - estimate)
+        return block, eta
+
+    return _drive(oracle, Y2, vector, config, blocksize, step, lambda: estimate, on_iterate,
+                  total=total)
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +469,7 @@ def pcg_solve(oracle, Y, config, pool=None, on_iterate=None):
 
     ``nystrom_rank`` 0 gives plain CG. Stops when every column reaches the
     tolerance (default 1e-6) or the iteration budget (default n) runs out.
+    Passes count one per iteration plus one for the Nystrom sketch K @ Omega.
     """
     n = oracle.n
     lam = oracle.lam
@@ -535,9 +478,11 @@ def pcg_solve(oracle, Y, config, pool=None, on_iterate=None):
     rank = int(rank)
     if rank < 0 or rank > n:
         raise ConfigError("pcg rank outside [0, n]")
+    sketch_passes = 0.0
     if rank > 0:
         omega = substream(config.seed, "omega").standard_normal((n, rank))
         sketch = oracle.matmul(omega)
+        sketch_passes = 1.0
         factor = rand_nystrom_retry(sketch, omega, rank)
         rho = float(factor.S[-1]) + lam
     else:
@@ -578,9 +523,9 @@ def pcg_solve(oracle, Y, config, pool=None, on_iterate=None):
         if on_iterate is not None:
             on_iterate(iters_done, X)
         relres = float(np.linalg.norm(R) / ynorm)
-        trace.record(iters_done, float(iters_done), relres, math.nan, 0)
+        trace.record(iters_done, sketch_passes + iters_done, relres, math.nan, 0)
     return SolveResult(
-        X[:, 0] if vector else X, trace, False, iters_done, float(iters_done)
+        X[:, 0] if vector else X, trace, False, iters_done, sketch_passes + iters_done
     )
 
 

@@ -59,11 +59,6 @@ class SpectralBasis:
     def rotate(self, vec):
         return self.eigvecs.T @ vec
 
-    def top_projection(self, vec, num_top):
-        """Orthogonal projection onto the leading eigenvector span."""
-        lead = self.eigvecs[:, :num_top]
-        return lead @ (lead.T @ vec)
-
 
 @dataclass(frozen=True)
 class SubspaceError:

@@ -231,3 +231,24 @@ def test_bench_writes_timings(tmp_path):
     assert lines[0] == "op,workers,seconds,max_abs_diff_vs_serial"
     diffs = [float(line.split(",")[3]) for line in lines[1:]]
     assert max(diffs) == 0.0
+
+
+@pytest.mark.parametrize("override", [
+    "run.max_passes=inf", "run.blocksize=abc", "run.residual_every=x", "run.lam=abc",
+    "run.seed=1.5",
+])
+def test_bad_run_value_is_one_error_line(tmp_path, capsys, override):
+    code = run_cli("--out", str(tmp_path / "out"), "--set", "problem.n=50",
+                   "--set", override, "solve")
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("seed", ["abc", "1.5"])
+def test_verify_bad_seed_is_one_error_line(tmp_path, capsys, seed):
+    code = run_cli("--out", str(tmp_path / "out"), "--set", f"run.seed={seed}",
+                   "verify", "nystrom")
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from sapgp import ContractError, DppModel, expected_projection_mc, lemma2_lower_bound, sample_kdpp, smoothed_condition
+from sapgp import ContractError, DppModel, expected_projection_mc, lemma2_lower_bound, smoothed_condition
 from sapgp.dpp import elementary_symmetric, log_elementary_symmetric
 
 
@@ -158,8 +158,8 @@ def test_sampler_deterministic_in_seed():
     rng = np.random.default_rng(12)
     A = random_psd(rng, 10)
     model = DppModel.from_matrix(A, 3)
-    assert np.array_equal(sample_kdpp(model, 42), sample_kdpp(model, 42))
+    assert np.array_equal(model.sample(42), model.sample(42))
     assert not all(
-        np.array_equal(sample_kdpp(model, s), sample_kdpp(model, s + 1))
+        np.array_equal(model.sample(s), model.sample(s + 1))
         for s in range(5)
     )

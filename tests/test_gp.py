@@ -12,7 +12,6 @@ from sapgp.gp import (
     pathwise_sample,
     posterior_mean,
     rmse,
-    sample_prior,
 )
 from sapgp.kernels import cross_kernel, kernel_eval
 from sapgp.rng import substream
@@ -70,17 +69,6 @@ def test_feature_map_kernel_estimate_concentrates(family):
         rfm = RandomFeatureMap.sample(spec, q, seed=seed)
         errs.append(np.abs(kernel_estimate(rfm, X, X) - K).max())
     assert errs[1] < errs[0]
-
-
-def test_prior_function_deterministic():
-    spec = KernelSpec("rbf", np.array([1.0, 1.0]), 1.0)
-    rfm = RandomFeatureMap.sample(spec, 128, seed=2)
-    rng = np.random.default_rng(6)
-    X = make_points(rng, 5)
-    f1 = sample_prior(rfm, seed=9)
-    f2 = sample_prior(rfm, seed=9)
-    assert np.array_equal(f1(X), f2(X))
-    assert not np.array_equal(f1(X), sample_prior(rfm, seed=10)(X))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sapgp import ContractError, KernelOracle, KernelSpec, block_block, block_rows_times, kernel_eval
+from sapgp import ContractError, KernelOracle, KernelSpec, col_dist_matmul, kernel_eval
 from sapgp.kernels import DenseOracle, cross_kernel
 
 
@@ -72,17 +72,17 @@ def test_block_oracles_match_dense(family):
     K = dense_reference(spec, X)
     M = rng.standard_normal((60, 4))
     B = np.sort(rng.choice(60, 17, replace=False))
-    got = block_rows_times(oracle, B, M)
+    got = col_dist_matmul(oracle, M, B)
     ref = K[B] @ M
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-    got_bb = block_block(oracle, B)
+    got_bb = oracle.block(B)
     assert np.abs(got_bb - K[np.ix_(B, B)]).max() <= 1e-12
 
 
 def test_block_rows_times_zero_matrix():
     rng = np.random.default_rng(2)
     oracle = KernelOracle(rbf_spec(), rng.standard_normal((20, 2)), 0.5)
-    out = block_rows_times(oracle, np.array([3, 5]), np.zeros((20, 2)))
+    out = col_dist_matmul(oracle, np.zeros((20, 2)), np.array([3, 5]))
     assert np.all(out == 0.0)
 
 
@@ -91,7 +91,7 @@ def test_block_rows_times_basis_vector():
     oracle = KernelOracle(rbf_spec(var=1.7), rng.standard_normal((3, 2)), 0.5)
     e0 = np.zeros(3)
     e0[0] = 1.0
-    out = block_rows_times(oracle, np.array([0]), e0)
+    out = col_dist_matmul(oracle, e0, np.array([0]))
     assert out[0] == pytest.approx(1.7, abs=0.0)  # the exact diagonal entry
 
 
@@ -100,7 +100,7 @@ def test_block_block_exact_symmetry_and_diag():
     spec = rbf_spec(var=2.0)
     oracle = KernelOracle(spec, rng.standard_normal((30, 2)), 0.1)
     B = np.arange(30)
-    K = block_block(oracle, B)
+    K = oracle.block(B)
     assert np.abs(K - K.T).max() == 0.0
     assert np.all(np.diag(K) == 2.0)
 
@@ -118,7 +118,7 @@ def test_duplicate_block_index_rejected():
     rng = np.random.default_rng(6)
     oracle = KernelOracle(rbf_spec(), rng.standard_normal((10, 2)), 0.5)
     with pytest.raises(ContractError):
-        block_block(oracle, np.array([1, 1, 2]))
+        oracle.block(np.array([1, 1, 2]))
 
 
 def test_matmul_matches_dense():

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -17,11 +19,10 @@ from sapgp import (
     sap_step,
     sdd_solve,
     solve,
-    tail_average,
 )
 from sapgp.randnla import rand_power_stepsize
 from sapgp.rng import substream
-from sapgp.solvers import NO_ACCELERATION, SolverState, TailAverager, resolve_accel
+from sapgp.solvers import SolverState, TailAverager, resolve_accel
 from sapgp.theory import SyntheticSpectrumProblem
 
 
@@ -75,7 +76,7 @@ def test_tail_average_batch_and_streaming():
     averager = TailAverager(total, (4, 2))
     for idx, w in enumerate(iterates, start=1):
         averager.add(idx, w)
-    batch = tail_average(iterates[4:9])  # indices 5..9
+    batch = np.mean(iterates[4:9], axis=0)  # indices 5..9
     assert np.abs(averager.average() - batch).max() < 1e-12
 
 
@@ -89,12 +90,17 @@ def test_tail_average_two_term_window():
 
 def test_tail_average_constant_iterates():
     w = np.ones((3, 1))
-    assert np.allclose(tail_average([w, w, w]), w)
+    averager = TailAverager(6, (3, 1))
+    for idx in range(1, 7):
+        averager.add(idx, w)
+    assert np.allclose(averager.average(), w)
 
 
 def test_tail_average_empty_window():
+    averager = TailAverager(4, (2, 1))
+    averager.add(1, np.ones((2, 1)))  # before the window opens at index 2
     with pytest.raises(ContractError):
-        tail_average([])
+        averager.average()
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +198,17 @@ def test_sap_tail_average_of_constant_tail():
     assert np.linalg.norm(res.W - ref) / np.linalg.norm(ref) < 1e-10
 
 
+@pytest.mark.parametrize("solver_id", ["sap", "adasap"])
+def test_tail_average_trace_reports_returned_iterate(solver_id):
+    oracle, rng = rbf_oracle(200, 1e-2)
+    y = rng.standard_normal(200)
+    cfg = RunConfig(lam=1e-2, solver_id=solver_id, blocksize=20, max_iters=40,
+                    tail_average=True, residual_every=1)
+    res = solve(oracle, y, cfg)
+    relres = np.linalg.norm(oracle.matmul(res.W) + 1e-2 * res.W - y) / np.linalg.norm(y)
+    assert abs(res.trace.final_residual() - relres) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # approximate accelerated variant
 
@@ -223,7 +240,8 @@ def test_adasap_identity_equals_plain_block_descent():
     y = rng.standard_normal(40)
     cfg = RunConfig(lam=0.3, solver_id="adasap_i", blocksize=8, max_iters=25,
                     seed=11, residual_every=0)
-    res = adasap_solve(oracle, y, cfg, identity_precond=True, accel=NO_ACCELERATION)
+    plain = SimpleNamespace(beta=1.0, gamma=0.0, alpha=0.0)
+    res = adasap_solve(oracle, y, cfg, identity_precond=True, accel=plain)
     # reference: plain block coordinate descent drawing the same substreams
     w = np.zeros(40)
     lam = 0.3
@@ -247,6 +265,20 @@ def test_adasap_converges_to_constructed_solution():
                     max_iters=200, residual_every=20)
     res = adasap_solve(oracle, y, cfg)
     assert np.linalg.norm(res.W - ones) / np.linalg.norm(ones) <= 1e-3
+
+
+@pytest.mark.parametrize("residual_every", [0, 300])
+def test_adasap_divergence_detected_between_residual_checks(residual_every):
+    # an oversized momentum pair overflows the iterates long before a residual is due
+    oracle, rng = rbf_oracle(200, 1e-2)
+    y = rng.standard_normal(200)
+    cfg = RunConfig(lam=1e-2, solver_id="adasap", blocksize=20, nystrom_rank=10,
+                    mu=10.0, nu=0.01, max_iters=300, residual_every=residual_every)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = adasap_solve(oracle, y, cfg)
+    assert res.diverged
+    assert res.iterations < 300
+    assert res.trace.records[-1].residual == np.inf
 
 
 def test_solver_dispatch_unknown():
@@ -292,6 +324,17 @@ def test_sdd_divergence_detector():
     assert res.diverged
 
 
+def test_sdd_divergence_detected_without_residual_checks():
+    oracle, rng = rbf_oracle(200, 1e-3)
+    y = rng.standard_normal(200)
+    cfg = RunConfig(lam=1e-3, solver_id="sdd", stepsize_scale=1000.0, blocksize=20,
+                    max_passes=60.0, residual_every=0)
+    res = sdd_solve(oracle, y, cfg)
+    assert res.diverged
+    assert res.iterations < 600
+    assert res.trace.records[-1].residual == np.inf
+
+
 # ---------------------------------------------------------------------------
 # preconditioned conjugate gradient baseline
 
@@ -335,6 +378,17 @@ def test_pcg_matches_dense_solve():
     res = pcg_solve(oracle, y, cfg)
     ref = np.linalg.solve(system_matrix(oracle), y)
     assert np.linalg.norm(res.W - ref) / np.linalg.norm(ref) <= 1e-6
+
+
+@pytest.mark.parametrize("rank, sketch_passes", [(0, 0.0), (20, 1.0)])
+def test_pcg_passes_count_the_sketch(rank, sketch_passes):
+    oracle, rng = rbf_oracle(200, 1e-2)
+    y = rng.standard_normal(200)
+    cfg = RunConfig(lam=1e-2, solver_id="pcg", nystrom_rank=rank, max_iters=14, tol=1e-14)
+    res = pcg_solve(oracle, y, cfg)
+    assert res.iterations == 14
+    assert res.passes == 14.0 + sketch_passes
+    assert np.array_equal(res.trace.passes(), np.arange(1, 15) + sketch_passes)
 
 
 # ---------------------------------------------------------------------------
