@@ -343,6 +343,7 @@ def cmd_bench(args):
     counts = sorted(set(counts))
     ref_col = col_dist_matmul(oracle, W, block)
     ref_row = row_dist_matmul(oracle, omega, block)
+    ref_full = oracle.matmul(W)
     rows = []
     for workers in counts:
         with WorkerPool(workers) as pool:
@@ -352,8 +353,12 @@ def cmd_bench(args):
             start = time.perf_counter()
             row = row_dist_matmul(oracle, omega, block, pool)
             row_secs = time.perf_counter() - start
+            start = time.perf_counter()
+            full = oracle.matmul(W, pool)
+            full_secs = time.perf_counter() - start
         rows.append(("col_dist_matmul", workers, col_secs, float(np.abs(col - ref_col).max())))
         rows.append(("row_dist_matmul", workers, row_secs, float(np.abs(row - ref_row).max())))
+        rows.append(("matmul", workers, full_secs, float(np.abs(full - ref_full).max())))
     with open(out_dir / "bench.csv", "w") as handle:
         handle.write("op,workers,seconds,max_abs_diff_vs_serial\n")
         for op, workers, secs, diff in rows:

@@ -54,16 +54,47 @@ def _scale(spec, X):
 
 
 def _family_values(family, variance, sq):
-    """Kernel values from scaled squared distances (clamped at zero)."""
+    """Kernel values from scaled squared distances (clamped at zero).
+
+    Works in place: ``sq`` is overwritten and returned. Each family keeps the
+    operation order of its closed form, ``variance*exp(-0.5*sq)``,
+    ``(variance*(1+arg))*exp(-arg)`` and
+    ``(variance*((1+arg)+(5/3)*sq))*exp(-arg)``, so the values are bitwise
+    those of the out-of-place expressions.
+    """
     np.maximum(sq, 0.0, out=sq)
     if family == "rbf":
-        return variance * np.exp(-0.5 * sq)
-    rho = np.sqrt(sq)
+        sq *= -0.5
+        np.exp(sq, out=sq)
+        sq *= variance
+        return sq
     if family == "matern32":
-        arg = _SQRT3 * rho
-        return variance * (1.0 + arg) * np.exp(-arg)
-    arg = _SQRT5 * rho
-    return variance * (1.0 + arg + (5.0 / 3.0) * sq) * np.exp(-arg)
+        np.sqrt(sq, out=sq)
+        sq *= _SQRT3
+        decay = np.negative(sq)
+        np.exp(decay, out=decay)
+        sq += 1.0
+        sq *= variance
+        sq *= decay
+        return sq
+    arg = np.sqrt(sq)
+    arg *= _SQRT5
+    decay = np.negative(arg)
+    np.exp(decay, out=decay)
+    arg += 1.0
+    sq *= 5.0 / 3.0
+    sq += arg
+    sq *= variance
+    sq *= decay
+    return sq
+
+
+def _sq_dists(za, ra, zb, rb):
+    """Squared distances ``(ra + rb) - 2 za zb^T`` between scaled points, with
+    ``ra``/``rb`` their squared row norms; the product is subtracted in place."""
+    sq = ra[:, None] + rb[None, :]
+    sq -= 2.0 * za @ zb.T
+    return sq
 
 
 def kernel_eval(spec, x, y):
@@ -83,11 +114,7 @@ def cross_kernel(spec, Xa, Xb):
     """Dense cross matrix k(Xa, Xb)."""
     za = _scale(spec, Xa)
     zb = _scale(spec, Xb)
-    sq = (
-        np.einsum("ij,ij->i", za, za)[:, None]
-        + np.einsum("ij,ij->i", zb, zb)[None, :]
-        - 2.0 * za @ zb.T
-    )
+    sq = _sq_dists(za, np.einsum("ij,ij->i", za, za), zb, np.einsum("ij,ij->i", zb, zb))
     return _family_values(spec.family, spec.variance, sq)
 
 
@@ -120,10 +147,12 @@ class KernelOracle:
         the kernel variance."""
         rows = np.asarray(rows, dtype=np.intp)
         cols = np.asarray(cols, dtype=np.intp)
-        zr = self._scaled[rows]
-        zc = self._scaled[cols]
-        sq = self._row_sq[rows][:, None] + self._row_sq[cols][None, :] - 2.0 * zr @ zc.T
-        sq[rows[:, None] == cols[None, :]] = 0.0
+        sq = _sq_dists(self._scaled[rows], self._row_sq[rows],
+                       self._scaled[cols], self._row_sq[cols])
+        hit = np.flatnonzero(np.isin(rows, cols))
+        if hit.size:
+            i, j = np.nonzero(rows[hit, None] == cols[None, :])
+            sq[hit[i], j] = 0.0
         return _family_values(self.spec.family, self.spec.variance, sq)
 
     def block(self, block):
@@ -142,20 +171,29 @@ class KernelOracle:
         block = np.arange(self.n)
         return self.block(block)
 
-    def matmul(self, M):
-        """K @ M without materializing K (serial, deterministic tiling)."""
+    def matmul(self, M, pool=None):
+        """K @ M without materializing K.
+
+        Whole row tiles run on ``pool`` (a ``dist.WorkerPool``, or None for
+        serial); each sums its column tiles in ascending order, so the result
+        is bit-identical for every worker count.
+        """
         M = np.asarray(M, dtype=np.float64)
         vector = M.ndim == 1
         M2 = M[:, None] if vector else M
         if M2.shape[0] != self.n:
             raise ContractError("M must have n rows")
-        out = np.empty((self.n, M2.shape[1]))
-        for start, stop in dist.tile_ranges(self.n):
+        tiles = dist.tile_ranges(self.n)
+
+        def task(i):
+            start, stop = tiles[i]
             rows = np.arange(start, stop)
             acc = np.zeros((stop - start, M2.shape[1]))
-            for cstart, cstop in dist.tile_ranges(self.n):
+            for cstart, cstop in tiles:
                 acc += self.tile(rows, np.arange(cstart, cstop)) @ M2[cstart:cstop]
-            out[start:stop] = acc
+            return acc
+
+        out = np.concatenate(dist._run_ordered(pool, len(tiles), task))
         return out[:, 0] if vector else out
 
     def cross_matmul(self, Xstar, W):
@@ -167,11 +205,7 @@ class KernelOracle:
         rs = np.einsum("ij,ij->i", zs, zs)
         out = np.zeros((zs.shape[0], W2.shape[1]))
         for start, stop in dist.tile_ranges(self.n):
-            sq = (
-                rs[:, None]
-                + self._row_sq[start:stop][None, :]
-                - 2.0 * zs @ self._scaled[start:stop].T
-            )
+            sq = _sq_dists(zs, rs, self._scaled[start:stop], self._row_sq[start:stop])
             out += _family_values(self.spec.family, self.spec.variance, sq) @ W2[start:stop]
         return out[:, 0] if vector else out
 
@@ -204,7 +238,8 @@ class DenseOracle:
     def dense(self):
         return self.K
 
-    def matmul(self, M):
+    def matmul(self, M, pool=None):
+        """K @ M; ``pool`` is accepted for the oracle contract and unused."""
         return self.K @ np.asarray(M, dtype=np.float64)
 
     def cross_matmul(self, Xstar, W):

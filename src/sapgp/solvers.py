@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import time
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,7 +83,6 @@ class TraceRecord:
     passes: float
     residual: float
     stepsize: float
-    block_hash: int
     subspace_err: float | None = None
 
 
@@ -97,7 +95,7 @@ class ConvergenceTrace:
         self.records = []
         self._start = time.perf_counter()
 
-    def record(self, iteration, passes, residual, stepsize, block_hash, subspace_err=None):
+    def record(self, iteration, passes, residual, stepsize, subspace_err=None):
         self.records.append(
             TraceRecord(
                 iteration=iteration,
@@ -105,7 +103,6 @@ class ConvergenceTrace:
                 passes=passes,
                 residual=residual,
                 stepsize=stepsize,
-                block_hash=block_hash,
                 subspace_err=subspace_err,
             )
         )
@@ -224,13 +221,9 @@ def _as_columns(Y, n):
     return np.ascontiguousarray(Y2), vector
 
 
-def _block_hash(block):
-    return zlib.crc32(np.ascontiguousarray(block).tobytes())
-
-
-def _relative_residual(oracle, W, Y, ynorm):
+def _relative_residual(oracle, W, Y, ynorm, pool=None):
     with np.errstate(over="ignore", invalid="ignore"):
-        res = oracle.matmul(W) + oracle.lam * W - Y
+        res = oracle.matmul(W, pool) + oracle.lam * W - Y
         return float(np.linalg.norm(res) / ynorm)
 
 
@@ -244,14 +237,15 @@ def _due(every, t, total):
 
 
 def _drive(oracle, Y2, vector, config, blocksize, step, current, on_iterate,
-           total=None, tail_average=False):
+           total=None, tail_average=False, pool=None):
     """The block-iteration loop shared by sap, adasap, adasap_i and sdd.
 
-    ``step(t)`` runs iteration t and returns (block, stepsize); ``current()``
+    ``step(t)`` runs iteration t and returns its stepsize; ``current()``
     returns the iterate. A non-finite iterate after any step (recorded as an
     infinite residual) or a residual above DIVERGENCE_FACTOR stops the run as
     diverged. With ``tail_average`` residuals and the tol test use the iterate
     that would be returned: the running tail average once its window opens.
+    Residual checks run their full product on ``pool``.
     """
     n = oracle.n
     if total is None:
@@ -268,7 +262,7 @@ def _drive(oracle, Y2, vector, config, blocksize, step, current, on_iterate,
         return current()
 
     for t in range(total):
-        block, stepsize = step(t)
+        stepsize = step(t)
         iters_done = t + 1
         W = current()
         if averager is not None:
@@ -279,9 +273,9 @@ def _drive(oracle, Y2, vector, config, blocksize, step, current, on_iterate,
         if not np.isfinite(W).all():
             relres = math.inf
         elif _due(config.residual_every, t, total):
-            relres = _relative_residual(oracle, reported(), Y2, ynorm)
+            relres = _relative_residual(oracle, reported(), Y2, ynorm, pool)
         passes = iters_done * blocksize / n
-        trace.record(iters_done, passes, relres, stepsize, _block_hash(block))
+        trace.record(iters_done, passes, relres, stepsize)
         if relres > DIVERGENCE_FACTOR:
             diverged = True
             break
@@ -344,10 +338,10 @@ def sap_solve(oracle, Y, config, sampler="uniform", dpp_model=None, pool=None, o
         else:
             block = dpp_model.sample(substream(config.seed, "block", t))
         sap_step(oracle, state, block, Y2, pool)
-        return block, 1.0
+        return 1.0
 
     return _drive(oracle, Y2, vector, config, blocksize, step, lambda: state.W, on_iterate,
-                  tail_average=config.tail_average)
+                  tail_average=config.tail_average, pool=pool)
 
 
 # ---------------------------------------------------------------------------
@@ -415,11 +409,11 @@ def adasap_solve(oracle, Y, config, identity_precond=False, pool=None, on_iterat
     state = SolverState.zeros(n, Y2.shape[1], accelerated=True)
 
     def step(t):
-        _, eta, block = adasap_step(oracle, state, Y2, config, accel, pool, identity_precond)
-        return block, eta
+        _, eta, _ = adasap_step(oracle, state, Y2, config, accel, pool, identity_precond)
+        return eta
 
     return _drive(oracle, Y2, vector, config, blocksize, step, lambda: state.W, on_iterate,
-                  tail_average=config.tail_average)
+                  tail_average=config.tail_average, pool=pool)
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +447,10 @@ def sdd_solve(oracle, Y, config, pool=None, on_iterate=None):
             velocity[block] -= eta * grad
             w[...] += velocity
             estimate[...] += avg_weight * (w - estimate)
-        return block, eta
+        return eta
 
     return _drive(oracle, Y2, vector, config, blocksize, step, lambda: estimate, on_iterate,
-                  total=total)
+                  total=total, pool=pool)
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +464,7 @@ def pcg_solve(oracle, Y, config, pool=None, on_iterate=None):
     ``nystrom_rank`` 0 gives plain CG. Stops when every column reaches the
     tolerance (default 1e-6) or the iteration budget (default n) runs out.
     Passes count one per iteration plus one for the Nystrom sketch K @ Omega.
+    The matvecs and the sketch run on ``pool``.
     """
     n = oracle.n
     lam = oracle.lam
@@ -481,7 +476,7 @@ def pcg_solve(oracle, Y, config, pool=None, on_iterate=None):
     sketch_passes = 0.0
     if rank > 0:
         omega = substream(config.seed, "omega").standard_normal((n, rank))
-        sketch = oracle.matmul(omega)
+        sketch = oracle.matmul(omega, pool)
         sketch_passes = 1.0
         factor = rand_nystrom_retry(sketch, omega, rank)
         rho = float(factor.S[-1]) + lam
@@ -507,7 +502,7 @@ def pcg_solve(oracle, Y, config, pool=None, on_iterate=None):
         active = np.linalg.norm(R, axis=0) / col_norms > tol
         if not np.any(active):
             break
-        AP = oracle.matmul(P) + lam * P
+        AP = oracle.matmul(P, pool) + lam * P
         pap = np.einsum("ij,ij->j", P, AP)
         if np.any(pap[active] <= 0.0):
             raise NumericalError("conjugate gradient breakdown: p^T A p <= 0")
@@ -523,7 +518,7 @@ def pcg_solve(oracle, Y, config, pool=None, on_iterate=None):
         if on_iterate is not None:
             on_iterate(iters_done, X)
         relres = float(np.linalg.norm(R) / ynorm)
-        trace.record(iters_done, sketch_passes + iters_done, relres, math.nan, 0)
+        trace.record(iters_done, sketch_passes + iters_done, relres, math.nan)
     return SolveResult(
         X[:, 0] if vector else X, trace, False, iters_done, sketch_passes + iters_done
     )

@@ -231,6 +231,9 @@ def test_bench_writes_timings(tmp_path):
     assert lines[0] == "op,workers,seconds,max_abs_diff_vs_serial"
     diffs = [float(line.split(",")[3]) for line in lines[1:]]
     assert max(diffs) == 0.0
+    full = [line.split(",") for line in lines[1:] if line.startswith("matmul,")]
+    assert sorted(int(row[1]) for row in full) == [1, 2, 4]
+    assert all(float(row[3]) == 0.0 for row in full)
 
 
 @pytest.mark.parametrize("override", [

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from sapgp import ContractError, KernelOracle, KernelSpec, col_dist_matmul, kernel_eval
-from sapgp.kernels import DenseOracle, cross_kernel
+from sapgp import ContractError, KernelOracle, KernelSpec, WorkerPool, col_dist_matmul, kernel_eval
+from sapgp.dist import TILE
+from sapgp.kernels import DenseOracle, _family_values, cross_kernel
 
 
 def rbf_spec(d=2, ls=1.0, var=1.0):
@@ -121,13 +124,61 @@ def test_duplicate_block_index_rejected():
         oracle.block(np.array([1, 1, 2]))
 
 
-def test_matmul_matches_dense():
+@pytest.mark.parametrize("cols", [None, 3], ids=["vector", "cols3"])
+@pytest.mark.parametrize("n", [TILE - 1, TILE, TILE + 1, 2 * TILE + 1])
+def test_matmul_matches_dense(n, cols):
     rng = np.random.default_rng(7)
-    X = rng.standard_normal((300, 2))  # spans two tiles
+    X = rng.standard_normal((n, 2))
     oracle = KernelOracle(rbf_spec(), X, 0.5)
     K = oracle.dense()
-    M = rng.standard_normal((300, 3))
-    assert np.abs(oracle.matmul(M) - K @ M).max() < 1e-10
+    M = rng.standard_normal(n if cols is None else (n, cols))
+    serial = oracle.matmul(M)
+    assert serial.shape == M.shape
+    assert np.abs(serial - K @ M).max() < 1e-10
+    for workers in (1, 2, 3):
+        with WorkerPool(workers) as pool:
+            assert np.array_equal(oracle.matmul(M, pool), serial)
+
+
+def reference_family_values(family, variance, sq):
+    """The out-of-place closed forms the in-place transform must reproduce."""
+    sq = np.maximum(sq, 0.0)
+    if family == "rbf":
+        return variance * np.exp(-0.5 * sq)
+    rho = np.sqrt(sq)
+    if family == "matern32":
+        arg = math.sqrt(3.0) * rho
+        return variance * (1.0 + arg) * np.exp(-arg)
+    arg = math.sqrt(5.0) * rho
+    return variance * (1.0 + arg + (5.0 / 3.0) * sq) * np.exp(-arg)
+
+
+@pytest.mark.parametrize("family", ["rbf", "matern32", "matern52"])
+def test_family_values_bitwise_match_closed_forms(family):
+    rng = np.random.default_rng(10)
+    sq = rng.uniform(0.0, 40.0, size=(37, 29))
+    sq[0, :5] = 0.0
+    sq[1, :5] = -rng.uniform(0.0, 1e-12, size=5)  # rounding below zero: clamped
+    sq[2, :5] = [1e-300, 1e-16, 1.0, 1e3, 1e6]
+    ref = reference_family_values(family, 1.7, sq.copy())
+    assert np.array_equal(_family_values(family, 1.7, sq.copy()), ref)
+
+
+@pytest.mark.parametrize("family", ["rbf", "matern32", "matern52"])
+@pytest.mark.parametrize("overlap", ["disjoint", "partial", "identical"])
+def test_tile_equal_indices_are_exactly_variance(family, overlap):
+    rng = np.random.default_rng(11)
+    oracle = KernelOracle(KernelSpec(family, np.array([0.9, 1.4]), 1.7),
+                          rng.standard_normal((50, 2)) * 10.0, 0.1)
+    rows = rng.permutation(50)[:20]
+    cols = {"disjoint": np.setdiff1d(np.arange(50), rows)[:15],
+            "partial": np.concatenate([rows[5:12], np.setdiff1d(np.arange(50), rows)[:6]]),
+            "identical": rows}[overlap]
+    tile = oracle.tile(rows, cols)
+    equal = rows[:, None] == cols[None, :]
+    assert equal.any() == (overlap != "disjoint")
+    assert np.all(tile[equal] == 1.7)
+    assert np.all(tile[~equal] < 1.7)
 
 
 def test_cross_matmul_matches_dense():

@@ -213,6 +213,22 @@ def test_tail_average_trace_reports_returned_iterate(solver_id):
 # approximate accelerated variant
 
 
+def test_adasap_pooled_residual_checks_match_serial():
+    oracle, rng = rbf_oracle(2 * 256 + 40, 1e-2)
+    y = rng.standard_normal(oracle.n)
+    kw = dict(lam=1e-2, solver_id="adasap", blocksize=50, nystrom_rank=20, tol=0.2,
+              residual_every=3, max_passes=30, seed=4)
+    pooled = solve(oracle, y, RunConfig(num_workers=2, **kw))
+    serial = solve(oracle, y, RunConfig(num_workers=1, **kw))
+    assert not pooled.diverged and pooled.passes < 30  # stopped by tol
+    assert pooled.iterations == serial.iterations
+    W = pooled.W[:, None]
+    res = oracle.matmul(W) + oracle.lam * W - y[:, None]
+    assert pooled.trace.final_residual() == float(np.linalg.norm(res) / np.linalg.norm(y))
+    assert np.array_equal(pooled.W, serial.W)
+    assert np.array_equal(pooled.trace.residuals(), serial.trace.residuals(), equal_nan=True)
+
+
 def test_adasap_full_rank_matches_sap_direction():
     # rank-deficient block: the Nystrom damping vanishes, so the step equals
     # the exact projection step scaled by the (near-one) stepsize
