@@ -53,6 +53,9 @@ def _effective_config(args):
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
     apply_overrides(tree, args.set or [])
+    for name, section in tree.items():
+        if not isinstance(section, dict):
+            raise ConfigError(f"config section {name!r} must be an object, got {section!r}")
     run = tree.setdefault("run", {})
     if args.workers is not None:
         run["num_workers"] = args.workers
@@ -399,6 +402,9 @@ def main(argv=None):
         return handlers[args.command](args)
     except (SapgpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:  # the CLI boundary: one line, never a traceback
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

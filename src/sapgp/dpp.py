@@ -9,6 +9,8 @@ minors det(A[B, B]).
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .errors import ContractError, NumericalError
@@ -16,6 +18,7 @@ from .rng import as_generator
 
 EXACT_LIMIT = 2048
 LOG_SPREAD = 1e12
+SAMPLE_CHUNK = 16  # samples whose chain rules run in lockstep
 
 
 def elementary_symmetric(values, order):
@@ -150,13 +153,14 @@ class DppModel:
             full[l, l] = 1.0
         self._ratios = [row.tolist() for row in full]
 
-    def _select_eigenvectors(self, rng):
+    def _select_eigenvectors(self, uniforms):
+        """Eigenvector indices (descending) chosen by ``n`` phase-1 uniforms."""
         if self._ratios is None:
             self._build_ratios()
         ratios = self._ratios
         n = self.eigvals.size
+        uniforms = uniforms.tolist()
         remaining = self.sample_size
-        uniforms = rng.random(n)
         selected = []
         m = n
         while remaining > 0:
@@ -171,38 +175,69 @@ class DppModel:
 
     # -- phase 2: projection DPP on the selected eigenvectors ---------------
 
-    def _sample_projection(self, rng, selected):
-        V = self.eigvecs[:, selected]
-        n, k = V.shape
-        norms = np.einsum("ij,ij->i", V, V)
-        coeffs = np.empty((n, k))
-        chosen = np.empty(k, dtype=np.intp)
+    def _chain_rule(self, selected, uniforms):
+        """Gram-Schmidt chain rule run in lockstep over a chunk of samples.
+
+        ``selected`` holds each sample's k eigenvector indices and ``uniforms``
+        its k chain-rule uniforms, one row per sample. Every row gets the same
+        operations, in the same order and on the same memory layout, as a
+        sample drawn alone, so rows do not depend on the chunk they share.
+        """
+        count, k = selected.shape
+        n = self.eigvals.size
+        rows = np.arange(count)
+        V = np.ascontiguousarray(self.eigvecs.T[selected].transpose(0, 2, 1))
+        norms = np.einsum("cij,cij->ci", V, V)
+        coeffs = np.empty((count, n, k))
+        chosen = np.empty((count, k), dtype=np.intp)
         for it in range(k):
-            np.clip(norms, 0.0, None, out=norms)
-            total = norms.sum()
-            if total <= 0.0:
+            np.maximum(norms, 0.0, out=norms)
+            total = norms.sum(axis=1)
+            if (total <= 0.0).any():
                 raise NumericalError("projection sampler ran out of mass")
-            cdf = np.cumsum(norms)
-            j = int(np.searchsorted(cdf, rng.random() * total, side="right"))
-            j = min(j, n - 1)
-            if norms[j] <= 0.0:
-                j = int(np.argmax(norms))
-            chosen[it] = j
-            denom = np.sqrt(norms[j])
-            col = V @ V[j]
+            cdf = norms.cumsum(axis=1)
+            # searchsorted(cdf, u * total, side="right") on each row
+            j = (cdf <= (uniforms[:, it] * total)[:, None]).sum(axis=1)
+            np.minimum(j, n - 1, out=j)
+            empty = norms[rows, j] <= 0.0
+            if empty.any():
+                j[empty] = np.argmax(norms[empty], axis=1)
+            chosen[:, it] = j
+            denom = np.sqrt(norms[rows, j])
+            col = (V @ V[rows, j][:, :, None])[:, :, 0]
             if it:
-                col -= coeffs[:, :it] @ coeffs[j, :it]
-            col /= denom
-            coeffs[:, it] = col
+                col -= (coeffs[:, :, :it] @ coeffs[rows, j, :it][:, :, None])[:, :, 0]
+            col /= denom[:, None]
+            coeffs[:, :, it] = col
             norms -= col * col
-            norms[j] = 0.0
-        return np.sort(chosen)
+            norms[rows, j] = 0.0
+        return np.sort(chosen, axis=1)
+
+    def sample_batch(self, seeds):
+        """One exact sample per seed: sorted index rows, shape (number of seeds, k).
+
+        Each sample draws ``rng.random(n)`` for its eigenvector subset and then
+        ``rng.random(k)`` for its chain rule, in seed order, so a Generator
+        passed as several seeds feeds its samples the stream they would draw
+        one by one. Seeds are read and the chain rule run one chunk of
+        SAMPLE_CHUNK samples at a time.
+        """
+        n, k = self.eigvals.size, self.sample_size
+        seeds = iter(seeds)
+        rows = [np.empty((0, k), dtype=np.intp)]
+        while chunk := list(itertools.islice(seeds, SAMPLE_CHUNK)):
+            selected = np.empty((len(chunk), k), dtype=np.intp)
+            uniforms = np.empty((len(chunk), k))
+            for row, seed in enumerate(chunk):
+                rng = as_generator(seed)
+                selected[row] = self._select_eigenvectors(rng.random(n))
+                uniforms[row] = rng.random(k)
+            rows.append(self._chain_rule(selected, uniforms))
+        return np.concatenate(rows)
 
     def sample(self, seed):
         """One exact sample: a sorted index array of size ``sample_size``."""
-        rng = as_generator(seed)
-        selected = self._select_eigenvectors(rng)
-        return self._sample_projection(rng, selected)
+        return self.sample_batch([seed])[0]
 
     # -- projections ---------------------------------------------------------
 
@@ -264,8 +299,7 @@ def expected_projection_mc(model, num_samples, seed, basis="standard"):
         raise ContractError("need at least two samples for standard errors")
     total = np.zeros((n, n))
     total_sq = np.zeros((n, n))
-    for i in range(num_samples):
-        block = model.sample(as_generator(_spawn_seed(seed, i)))
+    for block in model.sample_batch(_spawn_seed(seed, i) for i in range(num_samples)):
         proj = model.projection_matrix(block, basis)
         total += proj
         total_sq += proj * proj

@@ -17,6 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .dist import WorkerPool, col_dist_matmul, row_dist_matmul
+from .dpp import SAMPLE_CHUNK
 from .errors import ConfigError, ContractError, NumericalError
 from .randnla import NystromFactor, apply_inv, rand_nystrom_retry, rand_power_stepsize
 from .rng import substream
@@ -83,19 +84,18 @@ class TraceRecord:
     passes: float
     residual: float
     stepsize: float
-    subspace_err: float | None = None
 
 
 class ConvergenceTrace:
     """Append-only per-iteration log; exports the documented CSV schema."""
 
-    COLUMNS = ("iter", "seconds", "passes", "residual", "stepsize", "subspace_err_l")
+    COLUMNS = ("iter", "seconds", "passes", "residual", "stepsize")
 
     def __init__(self):
         self.records = []
         self._start = time.perf_counter()
 
-    def record(self, iteration, passes, residual, stepsize, subspace_err=None):
+    def record(self, iteration, passes, residual, stepsize):
         self.records.append(
             TraceRecord(
                 iteration=iteration,
@@ -103,7 +103,6 @@ class ConvergenceTrace:
                 passes=passes,
                 residual=residual,
                 stepsize=stepsize,
-                subspace_err=subspace_err,
             )
         )
 
@@ -130,10 +129,9 @@ class ConvergenceTrace:
         with open(path, "w") as handle:
             handle.write(",".join(self.COLUMNS) + "\n")
             for rec in self.records:
-                sub = "" if rec.subspace_err is None else repr(rec.subspace_err)
                 handle.write(
                     f"{rec.iteration},{rec.seconds!r},{rec.passes!r},"
-                    f"{rec.residual!r},{rec.stepsize!r},{sub}\n"
+                    f"{rec.residual!r},{rec.stepsize!r}\n"
                 )
 
 
@@ -330,18 +328,24 @@ def sap_solve(oracle, Y, config, sampler="uniform", dpp_model=None, pool=None, o
             raise ConfigError("config blocksize disagrees with the DPP sample size")
     else:
         blocksize = resolve_blocksize(config, n)
+    total = budget_iterations(config, blocksize / n)
     state = SolverState.zeros(n, Y2.shape[1], accelerated=False)
+    drawn = []
 
     def step(t):
         if sampler == "uniform":
             block = _uniform_block(config.seed, t, n, blocksize)
         else:
-            block = dpp_model.sample(substream(config.seed, "block", t))
+            # blocks never depend on the iterate: draw a chunk of them at once
+            if t % SAMPLE_CHUNK == 0:
+                ahead = range(t, min(t + SAMPLE_CHUNK, total))
+                drawn[:] = dpp_model.sample_batch(substream(config.seed, "block", s) for s in ahead)
+            block = drawn[t % SAMPLE_CHUNK]
         sap_step(oracle, state, block, Y2, pool)
         return 1.0
 
     return _drive(oracle, Y2, vector, config, blocksize, step, lambda: state.W, on_iterate,
-                  tail_average=config.tail_average, pool=pool)
+                  total=total, tail_average=config.tail_average, pool=pool)
 
 
 # ---------------------------------------------------------------------------

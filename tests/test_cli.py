@@ -255,3 +255,20 @@ def test_verify_bad_seed_is_one_error_line(tmp_path, capsys, seed):
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["solve", "infer"])
+def test_non_object_run_section_is_one_error_line(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, {"run": 5})
+    code = run_cli("--config", cfg, "--out", str(tmp_path / "out"), command)
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "'run'" in err[0]
+
+
+def test_unexpected_exception_is_one_error_line(tmp_path, capsys):
+    # a non-numeric problem size fails inside int(), outside the config checks
+    code = run_cli("--out", str(tmp_path / "out"), "--set", "problem.n=abc", "solve")
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: ValueError: invalid literal for int() with base 10: 'abc'"]

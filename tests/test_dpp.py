@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from sapgp import ContractError, DppModel, expected_projection_mc, lemma2_lower_bound, smoothed_condition
-from sapgp.dpp import elementary_symmetric, log_elementary_symmetric
+from sapgp.dpp import SAMPLE_CHUNK, elementary_symmetric, log_elementary_symmetric
+from sapgp.rng import as_generator, substream
+from sapgp.theory import SyntheticSpectrumProblem
 
 
 def random_psd(rng, n, jitter=0.3):
@@ -36,7 +38,7 @@ def test_two_point_marginals():
     model = DppModel(np.array([3.0, 1.0]), np.eye(2), 1)
     draws = 100_000
     rng = np.random.default_rng(2)
-    hits = sum(model.sample(rng)[0] == 0 for _ in range(draws))
+    hits = int(np.sum(model.sample_batch([rng] * draws)[:, 0] == 0))
     p_hat = hits / draws
     sigma = np.sqrt(0.75 * 0.25 / draws)
     assert abs(p_hat - 0.75) <= 3 * sigma
@@ -60,8 +62,8 @@ def test_exhaustive_determinant_frequencies():
     draws = 30_000
     counts = dict.fromkeys(weights, 0)
     gen = np.random.default_rng(5)
-    for _ in range(draws):
-        counts[tuple(model.sample(gen))] += 1
+    for row in model.sample_batch([gen] * draws):
+        counts[tuple(row)] += 1
     for subset, weight in weights.items():
         p = weight / total
         sigma = np.sqrt(p * (1 - p) / draws)
@@ -163,3 +165,117 @@ def test_sampler_deterministic_in_seed():
         np.array_equal(model.sample(s), model.sample(s + 1))
         for s in range(5)
     )
+
+
+# ---------------------------------------------------------------------------
+# the batched sampler against the one-sample chain rule it replaced
+
+
+def serial_sample(model, seed):
+    """Kulesza & Taskar Alg. 1 one sample at a time: phase-1 uniforms, then
+    one uniform per chain-rule step (the sampler before batching)."""
+    if model._ratios is None:
+        model._build_ratios()
+    rng = as_generator(seed)
+    n, k = model.eigvals.size, model.sample_size
+    uniforms = rng.random(n)
+    remaining, selected, m = k, [], n
+    while remaining > 0:
+        if m == remaining:
+            selected.extend(range(m - 1, -1, -1))
+            break
+        if uniforms[n - m] < model._ratios[remaining][m]:
+            selected.append(m - 1)
+            remaining -= 1
+        m -= 1
+    V = model.eigvecs[:, selected]
+    norms = np.einsum("ij,ij->i", V, V)
+    coeffs = np.empty((n, k))
+    chosen = np.empty(k, dtype=np.intp)
+    for it in range(k):
+        np.clip(norms, 0.0, None, out=norms)
+        total = norms.sum()
+        cdf = np.cumsum(norms)
+        j = int(np.searchsorted(cdf, rng.random() * total, side="right"))
+        j = min(j, n - 1)
+        if norms[j] <= 0.0:
+            j = int(np.argmax(norms))
+        chosen[it] = j
+        denom = np.sqrt(norms[j])
+        col = V @ V[j]
+        if it:
+            col -= coeffs[:, :it] @ coeffs[j, :it]
+        col /= denom
+        coeffs[:, it] = col
+        norms -= col * col
+        norms[j] = 0.0
+    return np.sort(chosen)
+
+
+def _random_model(n, k, seed):
+    A = random_psd(np.random.default_rng(seed), n)
+    return DppModel.from_matrix(A, k)
+
+
+def _log_path_model():
+    n = 60
+    Q, _ = np.linalg.qr(np.random.default_rng(13).standard_normal((n, n)))
+    model = DppModel(np.geomspace(1.0, 1e-16, n), Q, 6, validate=False)
+    model._build_ratios()
+    assert model.log_es_table is not None
+    return model
+
+
+BATCH_CASES = {
+    "criterion2_n256_k32": lambda: SyntheticSpectrumProblem.poly(256, 2.0, 1e-4, seed=0).dpp_model(32),
+    "k1": lambda: _random_model(40, 1, 14),
+    "k_equals_n": lambda: _random_model(24, 24, 15),
+    "criterion1_n64_k16": lambda: SyntheticSpectrumProblem.poly(64, 2.0, 1e-3, seed=2).dpp_model(16),
+    "criterion10_n512_k32": lambda: SyntheticSpectrumProblem.poly(
+        512, 2.0, 1e-4, seed=14, response="gaussian").dpp_model(32),
+    "log_space_path": _log_path_model,
+}
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_sample_batch_matches_serial_chain_rule(case):
+    model = BATCH_CASES[case]()
+    keys = [(s, t) for s in range(5) for t in range(100)]
+    batch = model.sample_batch(substream(s, "block", t) for s, t in keys)
+    assert batch.shape == (500, model.sample_size)
+    for row, (s, t) in zip(batch, keys):
+        assert np.array_equal(row, serial_sample(model, substream(s, "block", t)))
+    shared = model.sample_batch([np.random.default_rng(16)] * 40)
+    gen = np.random.default_rng(16)
+    for row in shared:
+        assert np.array_equal(row, serial_sample(model, gen))
+
+
+def test_sample_is_one_row_of_a_batch():
+    model = _random_model(30, 5, 17)
+    seeds = list(range(SAMPLE_CHUNK + 3))
+    batch = model.sample_batch(seeds)
+    for seed, row in zip(seeds, batch):
+        assert np.array_equal(model.sample(seed), row)
+
+
+def test_sample_batch_empty():
+    model = _random_model(10, 3, 18)
+    out = model.sample_batch([])
+    assert out.shape == (0, 3)
+
+
+def test_expected_projection_mc_generator_seed_unchanged():
+    model = _random_model(12, 3, 19)
+    est = expected_projection_mc(model, 50, np.random.default_rng(20), basis="eigen")
+    gen = np.random.default_rng(20)
+    total = np.zeros((12, 12))
+    total_sq = np.zeros((12, 12))
+    for _ in range(50):
+        proj = model.projection_matrix(serial_sample(model, gen), "eigen")
+        total += proj
+        total_sq += proj * proj
+    mean = total / 50
+    stderr = np.sqrt(np.maximum(total_sq / 50 - mean * mean, 0.0) / 50)
+    assert np.array_equal(est.mean, mean)
+    assert np.array_equal(est.stderr, stderr)

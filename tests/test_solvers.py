@@ -198,6 +198,53 @@ def test_sap_tail_average_of_constant_tail():
     assert np.linalg.norm(res.W - ref) / np.linalg.norm(ref) < 1e-10
 
 
+def _kdpp_reference(problem, model, seed, iters, tol=None):
+    """k-DPP SAP one step at a time, each block drawn on its own: W and the
+    relative residual after every step, stopping once it reaches ``tol``."""
+    Y = problem.y[:, None]
+    ynorm = max(np.linalg.norm(Y), np.finfo(np.float64).tiny)
+    state = SolverState.zeros(problem.n, 1)
+    residuals = []
+    for t in range(iters):
+        block = model.sample(substream(seed, "block", t))
+        sap_step(problem.oracle, state, block, Y)
+        res = problem.oracle.matmul(state.W) + problem.oracle.lam * state.W - Y
+        residuals.append(float(np.linalg.norm(res) / ynorm))
+        if tol is not None and residuals[-1] <= tol:
+            break
+    return state.W[:, 0], np.array(residuals)
+
+
+@pytest.mark.parametrize("iters", [5, 16, 37])
+def test_sap_kdpp_matches_one_block_at_a_time(iters):
+    problem = SyntheticSpectrumProblem.poly(64, 2.0, 1e-3, seed=3)
+    model = problem.dpp_model(8)
+    cfg = RunConfig(lam=1e-3, solver_id="sap", sampler="kdpp", max_iters=iters,
+                    residual_every=1, seed=7)
+    res = sap_solve(problem.oracle, problem.y, cfg, sampler="kdpp", dpp_model=model)
+    W_ref, residuals = _kdpp_reference(problem, model, 7, iters)
+    assert res.iterations == iters
+    assert np.array_equal(res.W, W_ref)
+    assert np.array_equal(res.trace.residuals(), residuals)
+
+
+def test_sap_kdpp_tol_stop_mid_chunk_matches_one_block_at_a_time():
+    problem = SyntheticSpectrumProblem.poly(64, 2.0, 1e-3, seed=3)
+    model = problem.dpp_model(8)
+    _, full = _kdpp_reference(problem, model, 7, 60)
+    # the first iteration whose residual is a new minimum past step 16,
+    # at a position inside the second chunk
+    stop = next(t for t in range(17, 60) if full[t] < full[:t].min() and (t + 1) % 16)
+    tol = float(full[stop])
+    cfg = RunConfig(lam=1e-3, solver_id="sap", sampler="kdpp", max_iters=60,
+                    residual_every=1, seed=7, tol=tol)
+    res = sap_solve(problem.oracle, problem.y, cfg, sampler="kdpp", dpp_model=model)
+    W_ref, residuals = _kdpp_reference(problem, model, 7, 60, tol=tol)
+    assert res.iterations == stop + 1 == residuals.size
+    assert np.array_equal(res.W, W_ref)
+    assert np.array_equal(res.trace.residuals(), residuals)
+
+
 @pytest.mark.parametrize("solver_id", ["sap", "adasap"])
 def test_tail_average_trace_reports_returned_iterate(solver_id):
     oracle, rng = rbf_oracle(200, 1e-2)
@@ -418,7 +465,7 @@ def test_trace_csv_schema(tmp_path):
     path = tmp_path / "trace.csv"
     res.trace.to_csv(path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "iter,seconds,passes,residual,stepsize,subspace_err_l"
+    assert lines[0] == "iter,seconds,passes,residual,stepsize"
     assert len(lines) == 9
     seconds = [float(line.split(",")[1]) for line in lines[1:]]
     assert all(a <= b for a, b in zip(seconds, seconds[1:]))
