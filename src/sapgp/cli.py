@@ -22,7 +22,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .config import RunConfig, apply_overrides, kernel_from_dict, load_config
+from .config import RunConfig, _number, apply_overrides, kernel_from_dict, load_config
 from .data import load_csv, standardize, train_test_split
 from .dist import WorkerPool, col_dist_matmul, row_dist_matmul
 from .errors import ConfigError, SapgpError
@@ -98,8 +98,8 @@ def _build_problem(tree, run_config):
         if unknown:
             raise ConfigError(f"unknown synthetic problem keys: {sorted(unknown)}")
         problem = SyntheticSpectrumProblem.poly(
-            int(section.get("n", 1000)),
-            float(section.get("beta", 2.0)),
+            _number("problem.n", section.get("n", 1000), integral=True),
+            float(_number("problem.beta", section.get("beta", 2.0), integral=False)),
             run_config.lam,
             run_config.seed,
             response=section.get("response", "planted"),
@@ -116,7 +116,8 @@ def _build_problem(tree, run_config):
             raise ConfigError("csv problem needs a path")
         ds = load_csv(section["path"], section.get("target_column", -1))
         if "test_fraction" in section:
-            train, test = train_test_split(ds, section["test_fraction"], run_config.seed)
+            fraction = _number("problem.test_fraction", section["test_fraction"], integral=False)
+            train, test = train_test_split(ds, fraction, run_config.seed)
         else:
             train, test = standardize(ds), None
         spec = kernel_from_dict(tree.get("kernel", {}), d=train.d)
@@ -277,8 +278,7 @@ def _verify_pathwise(seed):
 
 def cmd_verify(args):
     tree = _effective_config(args)
-    run_section = tree.get("run", {})
-    run_config = RunConfig(seed=run_section.get("seed", 0), lam=run_section.get("lam", 1e-3))
+    run_config = RunConfig.from_dict(tree["run"])
     seed = run_config.seed
     section = dict(tree.get("verify", {}))
     out_dir = Path(args.out)
@@ -345,6 +345,8 @@ def cmd_bench(args):
     counts = [w for w in (1, 2, 4, run_config.num_workers) if w <= max(4, run_config.num_workers)]
     counts = sorted(set(counts))
     ref_col = col_dist_matmul(oracle, W, block)
+    ref_kbb = np.empty((blocksize, blocksize))
+    ref_one = col_dist_matmul(oracle, W, block, block_out=ref_kbb)
     ref_row = row_dist_matmul(oracle, omega, block)
     ref_full = oracle.matmul(W)
     rows = []
@@ -353,6 +355,10 @@ def cmd_bench(args):
             start = time.perf_counter()
             col = col_dist_matmul(oracle, W, block, pool)
             col_secs = time.perf_counter() - start
+            kbb = np.empty((blocksize, blocksize))
+            start = time.perf_counter()
+            one = col_dist_matmul(oracle, W, block, pool, block_out=kbb)
+            one_secs = time.perf_counter() - start
             start = time.perf_counter()
             row = row_dist_matmul(oracle, omega, block, pool)
             row_secs = time.perf_counter() - start
@@ -360,6 +366,8 @@ def cmd_bench(args):
             full = oracle.matmul(W, pool)
             full_secs = time.perf_counter() - start
         rows.append(("col_dist_matmul", workers, col_secs, float(np.abs(col - ref_col).max())))
+        one_diff = max(np.abs(one - ref_one).max(), np.abs(kbb - ref_kbb).max())
+        rows.append(("col_dist_matmul_block", workers, one_secs, float(one_diff)))
         rows.append(("row_dist_matmul", workers, row_secs, float(np.abs(row - ref_row).max())))
         rows.append(("matmul", workers, full_secs, float(np.abs(full - ref_full).max())))
     with open(out_dir / "bench.csv", "w") as handle:

@@ -1,13 +1,14 @@
 """Worker-pool partitioned kernel products with a fixed reduction order.
 
 Partial products are always computed at a fixed tile granularity and combined
-in ascending tile order, so a product is bit-identical for every worker
-count: changing ``num_workers`` only changes which tiles each worker executes,
+in ascending task order, so a product is bit-identical for every worker
+count: changing ``num_workers`` only changes which tasks each worker executes,
 never the arithmetic.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -66,31 +67,44 @@ class WorkerPool:
         self.close()
 
 
-def _run_ordered(pool, count, task):
-    """Evaluate ``task(i)`` for i in 0..count-1, returning results in order.
+def _ordered(pool, count, task):
+    """Yield ``task(i)`` for i in 0..count-1, in order.
 
-    Workers receive contiguous groups of tile indices; a failing group aborts
-    the whole call.
+    On a pool each task is one future, and at most two per worker are queued
+    or finished ahead of the consumer, so a caller that folds each result as
+    it arrives holds O(workers) results at once. A failing task aborts the
+    whole call.
     """
     if pool is None or pool.num_workers == 1 or count <= 1:
-        return [task(i) for i in range(count)]
-    groups = partition(count, min(pool.num_workers, count))
+        for i in range(count):
+            yield task(i)
+        return
     executor = pool._ensure_executor()
+    window = 2 * pool.num_workers
+    futures = collections.deque()
+    submitted = 0
+    try:
+        for i in range(count):
+            while submitted < count and len(futures) < window:
+                futures.append(executor.submit(task, submitted))
+                submitted += 1
+            try:
+                result = futures.popleft().result()
+            except Exception as exc:  # abort, naming the task
+                raise WorkerError(f"worker task {i} failed: {exc}") from exc
+            yield result
+    finally:
+        for fut in futures:
+            fut.cancel()
 
-    def run_group(grp):
-        start, stop = grp
-        return [task(i) for i in range(start, stop)]
 
-    futures = [executor.submit(run_group, grp) for grp in groups]
-    results = []
-    for worker_id, fut in enumerate(futures):
-        try:
-            results.extend(fut.result())
-        except Exception as exc:  # abort, naming the worker
-            for other in futures:
-                other.cancel()
-            raise WorkerError(f"worker {worker_id} failed: {exc}") from exc
-    return results
+def symmetrize(tile, out=None):
+    """``(T + T^T) * 0.5`` of the square ``tile``, into ``out`` if given (not
+    ``tile`` itself): exactly symmetric, and exact wherever ``T`` is already
+    symmetric (a diagonal of the kernel variance stays that value)."""
+    out = np.add(tile.T, tile, out=out)
+    out *= 0.5
+    return out
 
 
 def check_indices(block, n):
@@ -105,8 +119,13 @@ def check_indices(block, n):
     return block
 
 
-def col_dist_matmul(oracle, W, block, pool=None):
-    """K[block, :] @ W via column tiles, summed in ascending tile order."""
+def col_dist_matmul(oracle, W, block, pool=None, block_out=None):
+    """K[block, :] @ W via column tiles, summed in ascending tile order.
+
+    With ``block_out`` (a b x b array) the same pass also fills it with
+    ``symmetrize(K[block, block])``, gathering the block's columns from the
+    tiles it evaluates anyway, so a block step needs no second kernel pass.
+    """
     n = oracle.n
     block = check_indices(block, n)
     W = np.asarray(W, dtype=np.float64)
@@ -114,16 +133,24 @@ def col_dist_matmul(oracle, W, block, pool=None):
     W2 = W[:, None] if vector else W
     if W2.shape[0] != n:
         raise ContractError("W must have n rows")
+    if block_out is not None and block_out.shape != (block.size, block.size):
+        raise ContractError("block_out must be b x b")
     tiles = tile_ranges(n)
+    gathered = None if block_out is None else np.empty_like(block_out)
 
     def task(i):
         start, stop = tiles[i]
-        return oracle.tile(block, np.arange(start, stop)) @ W2[start:stop]
+        tile = oracle.tile(block, np.arange(start, stop))
+        if gathered is not None:
+            hit = np.flatnonzero((block >= start) & (block < stop))
+            gathered[:, hit] = tile[:, block[hit] - start]
+        return tile @ W2[start:stop]
 
-    parts = _run_ordered(pool, len(tiles), task)
     out = np.zeros((block.size, W2.shape[1]))
-    for part in parts:
+    for part in _ordered(pool, len(tiles), task):
         out += part
+    if block_out is not None:
+        symmetrize(gathered, out=block_out)
     return out[:, 0] if vector else out
 
 
@@ -142,6 +169,5 @@ def row_dist_matmul(oracle, omega, block, pool=None):
         start, stop = tiles[i]
         return oracle.tile(block[start:stop], block) @ om2
 
-    parts = _run_ordered(pool, len(tiles), task)
-    out = np.vstack(parts)
+    out = np.vstack(list(_ordered(pool, len(tiles), task)))
     return out[:, 0] if vector else out

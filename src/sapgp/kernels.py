@@ -156,13 +156,10 @@ class KernelOracle:
         return _family_values(self.spec.family, self.spec.variance, sq)
 
     def block(self, block):
-        """Exact dense K[block, block], symmetric to the last bit."""
+        """Dense ``dist.symmetrize(K[block, block])``: symmetric to the last bit,
+        its diagonal exactly the kernel variance."""
         block = dist.check_indices(block, self.n)
-        tile = self.tile(block, block)
-        upper = np.triu(tile, 1)
-        out = upper + upper.T
-        np.fill_diagonal(out, self.spec.variance)
-        return out
+        return dist.symmetrize(self.tile(block, block))
 
     def dense(self):
         """Full K for test oracles; refuses above DENSE_LIMIT."""
@@ -172,11 +169,15 @@ class KernelOracle:
         return self.block(block)
 
     def matmul(self, M, pool=None):
-        """K @ M without materializing K.
+        """K @ M without materializing K, evaluating each tile pair once.
 
-        Whole row tiles run on ``pool`` (a ``dist.WorkerPool``, or None for
-        serial); each sums its column tiles in ascending order, so the result
-        is bit-identical for every worker count.
+        Only tiles K[i, j] with j >= i are evaluated; an off-diagonal tile is
+        used twice, as K_ij M_j for row tile i and as K_ij^T M_i for row tile
+        j. One task on ``pool`` (a ``dist.WorkerPool``, or None for serial)
+        takes row tile k and its mirror T-1-k, so tasks do equal work; it
+        sums its contributions into one n x m array, and the tasks' arrays
+        are folded in task order as they arrive, so the result is
+        bit-identical for every worker count.
         """
         M = np.asarray(M, dtype=np.float64)
         vector = M.ndim == 1
@@ -184,16 +185,23 @@ class KernelOracle:
         if M2.shape[0] != self.n:
             raise ContractError("M must have n rows")
         tiles = dist.tile_ranges(self.n)
+        count = len(tiles)
 
-        def task(i):
-            start, stop = tiles[i]
-            rows = np.arange(start, stop)
-            acc = np.zeros((stop - start, M2.shape[1]))
-            for cstart, cstop in tiles:
-                acc += self.tile(rows, np.arange(cstart, cstop)) @ M2[cstart:cstop]
+        def task(k):
+            acc = np.zeros_like(M2)
+            for i in sorted({k, count - 1 - k}):
+                start, stop = tiles[i]
+                rows = np.arange(start, stop)
+                for cstart, cstop in tiles[i:]:
+                    tile = self.tile(rows, np.arange(cstart, cstop))
+                    acc[start:stop] += tile @ M2[cstart:cstop]
+                    if cstart != start:
+                        acc[cstart:cstop] += tile.T @ M2[start:stop]
             return acc
 
-        out = np.concatenate(dist._run_ordered(pool, len(tiles), task))
+        out = np.zeros_like(M2)
+        for part in dist._ordered(pool, (count + 1) // 2, task):
+            out += part
         return out[:, 0] if vector else out
 
     def cross_matmul(self, Xstar, W):

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dist import WorkerPool, col_dist_matmul, row_dist_matmul
+from .dist import WorkerPool, col_dist_matmul
+from .dist import row_dist_matmul  # noqa: F401  (re-exported; the benchmark tracer wraps it here)
 from .dpp import SAMPLE_CHUNK
 from .errors import ConfigError, ContractError, NumericalError
 from .randnla import NystromFactor, apply_inv, rand_nystrom_retry, rand_power_stepsize
@@ -293,11 +294,12 @@ def sap_step(oracle, state, block, Y, pool=None):
 
     Solves (K[B,B] + lam I) d = (K[B,:] + lam I[B,:]) W - Y[B] with one dense
     Cholesky of size b and subtracts d from the block rows of W in place.
+    K[B,B] comes from the same kernel pass as K[B,:] W.
     """
     lam = oracle.lam
     W = state.W
-    grad = col_dist_matmul(oracle, W, block, pool) + lam * W[block] - Y[block]
-    H = oracle.block(block)
+    H = np.empty((len(block), len(block)))
+    grad = col_dist_matmul(oracle, W, block, pool, block_out=H) + lam * W[block] - Y[block]
     H[np.diag_indices_from(H)] += lam
     try:
         chol = scipy.linalg.cho_factor(H, lower=True)
@@ -356,9 +358,10 @@ def adasap_step(oracle, state, Y, config, accel, pool=None, identity_precond=Fal
     """One approximately preconditioned accelerated step.
 
     Phases: uniform block; block-row product at the acceleration midpoint
-    (or at W when ``config.grad_eval_point == "w"``); Gaussian sketch of
-    K[B,B]; Nystrom factor with damping S_r + lam; automatic stepsize by
-    randomized powering; Nesterov update of (W, V, Z).
+    (or at W when ``config.grad_eval_point == "w"``), whose kernel pass also
+    yields K[B,B]; Gaussian sketch K[B,B] @ Omega; Nystrom factor with damping
+    S_r + lam; automatic stepsize by randomized powering with K[B,B];
+    Nesterov update of (W, V, Z).
 
     Returns (state, stepsize, block).
     """
@@ -368,7 +371,9 @@ def adasap_step(oracle, state, Y, config, accel, pool=None, identity_precond=Fal
     blocksize = resolve_blocksize(config, n)
     block = _uniform_block(config.seed, t, n, blocksize)
     point = state.Z if config.grad_eval_point == "z" else state.W
-    grad = col_dist_matmul(oracle, point, block, pool) + lam * point[block] - Y[block]
+    Kbb = np.empty((blocksize, blocksize))
+    grad = (col_dist_matmul(oracle, point, block, pool, block_out=Kbb)
+            + lam * point[block] - Y[block])
 
     if identity_precond:
         factor = NystromFactor.empty(blocksize)
@@ -376,11 +381,8 @@ def adasap_step(oracle, state, Y, config, accel, pool=None, identity_precond=Fal
     else:
         rank = resolve_rank(config, blocksize)
         omega = substream(config.seed, "omega", t).standard_normal((blocksize, rank))
-        sketch = row_dist_matmul(oracle, omega, block, pool)
-        factor = rand_nystrom_retry(sketch, omega, rank)
+        factor = rand_nystrom_retry(Kbb @ omega, omega, rank)
         rho = float(factor.S[-1]) + lam
-
-    Kbb = oracle.block(block)
 
     def h_apply(v):
         return Kbb @ v + lam * v

@@ -231,9 +231,10 @@ def test_bench_writes_timings(tmp_path):
     assert lines[0] == "op,workers,seconds,max_abs_diff_vs_serial"
     diffs = [float(line.split(",")[3]) for line in lines[1:]]
     assert max(diffs) == 0.0
-    full = [line.split(",") for line in lines[1:] if line.startswith("matmul,")]
-    assert sorted(int(row[1]) for row in full) == [1, 2, 4]
-    assert all(float(row[3]) == 0.0 for row in full)
+    for op in ("matmul", "col_dist_matmul_block"):
+        found = [line.split(",") for line in lines[1:] if line.startswith(op + ",")]
+        assert sorted(int(row[1]) for row in found) == [1, 2, 4]
+        assert all(float(row[3]) == 0.0 for row in found)
 
 
 @pytest.mark.parametrize("override", [
@@ -267,8 +268,30 @@ def test_non_object_run_section_is_one_error_line(tmp_path, capsys, command):
 
 
 def test_unexpected_exception_is_one_error_line(tmp_path, capsys):
-    # a non-numeric problem size fails inside int(), outside the config checks
-    code = run_cli("--out", str(tmp_path / "out"), "--set", "problem.n=abc", "solve")
+    # a non-numeric sample count fails inside int(), outside the config checks
+    code = run_cli("--out", str(tmp_path / "out"), "--set", "infer.num_samples=abc", "infer")
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["error: ValueError: invalid literal for int() with base 10: 'abc'"]
+
+
+def test_verify_rejects_unknown_run_keys(tmp_path, capsys):
+    code = run_cli("--out", str(tmp_path / "out"), "--set", "run.bogus=1",
+                   "--set", "run.solver_id=nope", "verify", "nystrom")
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "out" / "report_nystrom.json").exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("n", "50.7"), ("n", "abc"), ("beta", "abc"), ("test_fraction", "abc"),
+])
+def test_bad_problem_value_names_its_key(tmp_path, capsys, key, value):
+    args = ["--set", f"problem.{key}={value}"]
+    if key == "test_fraction":
+        args += ["--set", "problem.type=csv", "--set", f"problem.path={sine_csv(tmp_path)}"]
+    code = run_cli("--out", str(tmp_path / "out"), *args, "solve")
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: problem.{key} must be")

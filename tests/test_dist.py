@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -102,3 +104,39 @@ def test_index_validation():
         col_dist_matmul(oracle, np.zeros((20, 1)), np.array([0, 0]))
     with pytest.raises(ContractError):
         col_dist_matmul(oracle, np.zeros((20, 1)), np.array([25]))
+
+
+def test_block_out_is_symmetrized_from_the_column_tiles():
+    class Asymmetric:  # K[i, j] = i + 2 j: no symmetry to inherit
+        n = 300
+
+        def tile(self, rows, cols):
+            return rows[:, None] + 2.0 * cols[None, :]
+
+    B = np.array([250, 3, 17, 299, 0])  # unsorted, in both column tiles
+    H = np.empty((5, 5))
+    out = col_dist_matmul(Asymmetric(), np.ones(300), B, block_out=H)
+    T = B[:, None] + 2.0 * B[None, :]
+    assert np.array_equal(H, (T + T.T) * 0.5)
+    assert np.array_equal(out, col_dist_matmul(Asymmetric(), np.ones(300), B))
+
+
+def test_block_out_stress_more_workers_than_cores():
+    # workers write disjoint columns of one shared block_out; a lost or
+    # misplaced write shows as a difference from the serial pass
+    oracle, rng = make_oracle(2100)
+    B = rng.permutation(2100)[:700]
+    W = rng.standard_normal((2100, 2))
+    ref_bb = np.empty((700, 700))
+    ref = col_dist_matmul(oracle, W, B, block_out=ref_bb)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with WorkerPool(8) as pool:
+            for _ in range(3):
+                got_bb = np.full((700, 700), np.nan)
+                got = col_dist_matmul(oracle, W, B, pool, block_out=got_bb)
+                assert np.array_equal(got, ref)
+                assert np.array_equal(got_bb, ref_bb)
+    finally:
+        sys.setswitchinterval(interval)
