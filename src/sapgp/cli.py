@@ -22,20 +22,27 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .config import RunConfig, _number, apply_overrides, kernel_from_dict, load_config
+from .config import (
+    RunConfig,
+    _number,
+    apply_overrides,
+    kernel_from_dict,
+    load_config,
+    section_numbers,
+)
 from .data import load_csv, standardize, train_test_split
 from .dist import WorkerPool, col_dist_matmul, row_dist_matmul
 from .errors import ConfigError, SapgpError
-from .gp import ExactPrior, RandomFeatureMap, RandomFeaturePrior, mean_nll, pathwise_sample, rmse
-from .kernels import KernelOracle, cross_kernel
-from .randnla import apply_inv, apply_inv_plain, apply_inv_sqrt, rand_nystrom
+from .gp import RandomFeatureMap, RandomFeaturePrior, mean_nll, pathwise_sample, rmse
+from .kernels import KernelOracle
 from .rng import substream
 from .solvers import solve
 from .theory import (
     SyntheticSpectrumProblem,
-    VerificationReport,
     verify_lemma2,
     verify_linear_rate,
+    verify_nystrom,
+    verify_pathwise,
     verify_theorem1,
 )
 
@@ -97,9 +104,10 @@ def _build_problem(tree, run_config):
         unknown = set(section) - allowed
         if unknown:
             raise ConfigError(f"unknown synthetic problem keys: {sorted(unknown)}")
+        values = section_numbers("problem", section, {"n": (1000, True), "beta": (2.0, False)})
         problem = SyntheticSpectrumProblem.poly(
-            _number("problem.n", section.get("n", 1000), integral=True),
-            float(_number("problem.beta", section.get("beta", 2.0), integral=False)),
+            values["n"],
+            values["beta"],
             run_config.lam,
             run_config.seed,
             response=section.get("response", "planted"),
@@ -161,8 +169,11 @@ def cmd_infer(args):
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown infer keys: {sorted(unknown)}")
-    num_samples = int(section.get("num_samples", 64))
-    num_features = int(section.get("num_features", 2048))
+    values = section_numbers(
+        "infer", section, {"num_samples": (64, True), "num_features": (2048, True)}
+    )
+    num_samples = values["num_samples"]
+    num_features = values["num_features"]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -208,72 +219,35 @@ def cmd_infer(args):
     return EXIT_OK
 
 
-def _verify_nystrom(seed):
-    """Factor exactness and damped-application identities on random blocks."""
-    rng = substream(seed, "verify")
-    dim = 48
-    G = rng.standard_normal((dim, dim))
-    M = G @ G.T / dim
-    omega = rng.standard_normal((dim, dim))
-    factor = rand_nystrom(M @ omega, omega, dim)
-    recon = (factor.U * factor.S) @ factor.U.T
-    recon_err = np.linalg.norm(recon - M) / np.linalg.norm(M)
-    rho = 0.3
-    vec = rng.standard_normal(dim)
-    dense = np.linalg.solve(recon + rho * np.eye(dim), vec)
-    inv_err = np.linalg.norm(apply_inv(factor, rho, vec) - dense) / np.linalg.norm(dense)
-    twice = apply_inv_sqrt(factor, rho, apply_inv_sqrt(factor, rho, vec))
-    sqrt_err = np.linalg.norm(twice - apply_inv_plain(factor, rho, vec)) / np.linalg.norm(dense)
-    checks = {
-        "full_rank_reconstruction": (float(recon_err), 1e-8),
-        "apply_inv_vs_dense": (float(inv_err), 1e-10),
-        "apply_inv_sqrt_squared": (float(sqrt_err), 1e-10),
-    }
-    passed = all(err <= tol for err, tol in checks.values())
-    return VerificationReport(
-        name="nystrom",
-        passed=passed,
-        details={key: {"error": err, "tolerance": tol} for key, (err, tol) in checks.items()},
-    )
+def _poly(p, seed):
+    return SyntheticSpectrumProblem.poly(p["n"], p["beta"], p["lam"], seed)
 
 
-def _verify_pathwise(seed):
-    """Pathwise sample moments against the closed-form posterior (small n)."""
-    rng = substream(seed, "verify")
-    n, t, s, lam = 30, 5, 2000, 0.05
-    X = rng.uniform(-2.0, 2.0, size=(n, 2))
-    Xstar = rng.uniform(-2.0, 2.0, size=(t, 2))
-    spec = kernel_from_dict({"family": "rbf", "lengthscales": [0.8, 0.8]})
-    oracle = KernelOracle(spec, X, lam)
-    y = rng.standard_normal(n)
-    K = oracle.dense()
-    cross = cross_kernel(spec, Xstar, X)
-    A = K + lam * np.eye(n)
-    exact_mean = cross @ np.linalg.solve(A, y)
-    exact_cov = cross_kernel(spec, Xstar, Xstar) - cross @ np.linalg.solve(A, cross.T)
-
-    prior = ExactPrior(spec, X, Xstar)
-
-    def solve_fn(orc, rhs):
-        return np.linalg.solve(A, rhs)
-
-    samples = pathwise_sample(oracle, prior, y, s, seed, solve_fn, Xstar=Xstar)
-    emp_mean = samples.sample_mean()
-    emp_cov = samples.sample_covariance()
-    mean_se = np.sqrt(np.diag(exact_cov) / s)
-    mean_ok = np.all(np.abs(emp_mean - exact_mean) <= 4.0 * np.maximum(mean_se, 1e-12))
-    var_prod = np.outer(np.diag(exact_cov), np.diag(exact_cov))
-    cov_se = np.sqrt((var_prod + exact_cov**2) / s)
-    cov_ok = np.all(np.abs(emp_cov - exact_cov) <= 4.0 * np.maximum(cov_se, 1e-12))
-    return VerificationReport(
-        name="pathwise",
-        passed=bool(mean_ok and cov_ok),
-        details={
-            "mean_max_dev_sigmas": float(np.max(np.abs(emp_mean - exact_mean) / np.maximum(mean_se, 1e-12))),
-            "cov_max_dev_sigmas": float(np.max(np.abs(emp_cov - exact_cov) / np.maximum(cov_se, 1e-12))),
-            "num_samples": s,
-        },
-    )
+# suite -> ({verify key: (default, integral)}, run(values, seed) -> report)
+VERIFY_SUITES = {
+    "lemma2": (
+        {"n": (64, True), "beta": (2.0, False), "lam": (1e-3, False),
+         "half_blocksize": (8, True), "num_samples": (5000, True)},
+        lambda p, seed: verify_lemma2(_poly(p, seed), p["half_blocksize"], p["num_samples"], seed),
+    ),
+    "theorem1": (
+        {"n": (256, True), "beta": (2.0, False), "lam": (1e-4, False),
+         "half_blocksize": (16, True), "num_top": (8, True), "trials": (100, True),
+         "iters": (2000, True)},
+        lambda p, seed: verify_theorem1(_poly(p, seed), p["half_blocksize"], p["num_top"],
+                                        p["trials"], p["iters"], seed),
+    ),
+    "linear_rate": (
+        {"n": (256, True), "beta": (2.0, False), "lam": (1e-4, False),
+         "half_blocksize": (16, True), "trials": (100, True), "iters": (512, True),
+         "projection_samples": (2000, True)},
+        lambda p, seed: verify_linear_rate(_poly(p, seed), p["half_blocksize"], p["trials"],
+                                           p["iters"], seed,
+                                           projection_samples=p["projection_samples"]),
+    ),
+    "nystrom": ({}, lambda p, seed: verify_nystrom(seed)),
+    "pathwise": ({}, lambda p, seed: verify_pathwise(seed)),
+}
 
 
 def cmd_verify(args):
@@ -284,43 +258,11 @@ def cmd_verify(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     suite = args.suite
-
-    if suite == "lemma2":
-        problem = SyntheticSpectrumProblem.poly(
-            int(section.get("n", 64)), float(section.get("beta", 2.0)),
-            float(section.get("lam", 1e-3)), seed,
-        )
-        report = verify_lemma2(
-            problem, int(section.get("half_blocksize", 8)),
-            int(section.get("num_samples", 5000)), seed,
-        )
-    elif suite == "theorem1":
-        problem = SyntheticSpectrumProblem.poly(
-            int(section.get("n", 256)), float(section.get("beta", 2.0)),
-            float(section.get("lam", 1e-4)), seed,
-        )
-        report = verify_theorem1(
-            problem, int(section.get("half_blocksize", 16)),
-            int(section.get("num_top", 8)), int(section.get("trials", 100)),
-            int(section.get("iters", 2000)), seed,
-        )
-    elif suite == "linear_rate":
-        problem = SyntheticSpectrumProblem.poly(
-            int(section.get("n", 256)), float(section.get("beta", 2.0)),
-            float(section.get("lam", 1e-4)), seed,
-        )
-        report = verify_linear_rate(
-            problem, int(section.get("half_blocksize", 16)),
-            int(section.get("trials", 100)), int(section.get("iters", 512)), seed,
-            projection_samples=int(section.get("projection_samples", 2000)),
-        )
-    elif suite == "nystrom":
-        report = _verify_nystrom(seed)
-    elif suite == "pathwise":
-        report = _verify_pathwise(seed)
-    else:
+    if suite not in VERIFY_SUITES:
         print(f"error: unknown verify suite {suite!r}", file=sys.stderr)
         return EXIT_ERROR
+    table, run_suite = VERIFY_SUITES[suite]
+    report = run_suite(section_numbers("verify", section, table), seed)
 
     report.to_json(out_dir / f"report_{suite}.json")
     if report.gridpoints:

@@ -31,6 +31,17 @@ def _number(name, value, integral):
     return int(value)
 
 
+def section_numbers(section, values, table):
+    """Read each key of ``table`` ({key: (default, integral)}) from ``values``
+    through ``_number``, naming the dotted key ``section.key``; real values are
+    returned as floats."""
+    out = {}
+    for key, (default, integral) in table.items():
+        value = _number(f"{section}.{key}", values.get(key, default), integral)
+        out[key] = value if integral else float(value)
+    return out
+
+
 @dataclass
 class RunConfig:
     """Solver run parameters; one root seed determines all randomness."""

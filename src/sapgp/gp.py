@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dist import tile_ranges
 from .errors import ContractError
 from .kernels import cross_kernel
 from .rng import as_generator, substream
@@ -62,12 +63,21 @@ class RandomFeatureMap:
         phases = rng.uniform(0.0, 2.0 * np.pi, size=num_features)
         return cls(freq, phases, spec.variance)
 
-    def features(self, X):
+    def _points(self, X):
+        """X as a float64 point matrix of the map's input dimension."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[1] != self.frequencies.shape[1]:
             raise ContractError("point dimension does not match the feature map")
+        return X
+
+    def features(self, X):
+        X = self._points(X)
         scale = math.sqrt(2.0 * self.variance / self.num_features)
-        return scale * np.cos(X @ self.frequencies.T + self.phases)
+        phi = X @ self.frequencies.T
+        phi += self.phases
+        np.cos(phi, out=phi)
+        phi *= scale
+        return phi
 
 
 def kernel_estimate(rfm, Xa, Xb):
@@ -80,17 +90,30 @@ def kernel_estimate(rfm, Xa, Xb):
 
 
 class RandomFeaturePrior:
-    """Batched prior draws at fixed train/test points via random features."""
+    """Batched prior draws at fixed train/test points via random features.
+
+    The feature matrices are never held: ``draw_state`` evaluates
+    phi(X[rows]) @ theta one row tile at a time, so memory is O((n + t) s)
+    plus one tile of features, whatever the number of features q. The values
+    equal the whole-matrix product phi(X) @ theta wherever the BLAS gives a
+    row tile the bits it gives those rows inside the whole product.
+    """
 
     def __init__(self, rfm, X, Xstar):
         self.rfm = rfm
-        self._phi_train = rfm.features(X)
-        self._phi_test = rfm.features(Xstar)
+        self.X = rfm._points(X)
+        self.Xstar = rfm._points(Xstar)
 
     def draw_state(self, seed, num_samples):
         """(train values, test values, feature-space weights q x s)."""
         theta = as_generator(seed).standard_normal((self.rfm.num_features, num_samples))
-        return self._phi_train @ theta, self._phi_test @ theta, theta
+        return self._values(self.X, theta), self._values(self.Xstar, theta), theta
+
+    def _values(self, X, theta):
+        out = np.empty((X.shape[0], theta.shape[1]))
+        for start, stop in tile_ranges(X.shape[0]):
+            out[start:stop] = self.rfm.features(X[start:stop]) @ theta
+        return out
 
 
 class ExactPrior:
@@ -190,10 +213,16 @@ def pathwise_sample(oracle, prior, y, num_samples, seed, solve_fn, Xstar=None, c
     f_train, f_test, prior_weights = prior.draw_state(
         substream(seed, "prior"), num_samples
     )
-    zeta = math.sqrt(oracle.lam) * substream(seed, "zeta").standard_normal(
-        (n, num_samples)
-    )
-    rhs = np.concatenate([y[:, None], y[:, None] - f_train - zeta], axis=1)
+    rhs = np.empty((n, num_samples + 1))
+    rhs[:, 0] = y
+    np.subtract(y[:, None], f_train, out=rhs[:, 1:])
+    del f_train
+    # the noise zeta ~ N(0, lam I) is drawn in row tiles from one stream; a
+    # Generator fills rows in order, so the tiles read the values of one draw
+    zeta_rng = substream(seed, "zeta")
+    scale = math.sqrt(oracle.lam)
+    for start, stop in tile_ranges(n):
+        rhs[start:stop, 1:] -= scale * zeta_rng.standard_normal((stop - start, num_samples))
     weights = solve_fn(oracle, rhs)
     if cross is None:
         def cross(W):

@@ -9,6 +9,7 @@ The block solvers (sap, adasap, adasap_i, sdd) share one loop, ``_drive``.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -62,16 +63,30 @@ def resolve_accel(config, n, blocksize):
     return AccelParams(mu, nu)
 
 
-def nesterov_update(W, V, Z, direction, eta, beta, gamma, alpha):
-    """One accelerated update; the Z blend uses the incoming V.
+def nesterov_update(W, V, Z, block, direction, eta, beta, gamma, alpha, scratch):
+    """One accelerated update in place; the Z blend uses the incoming V.
 
     W' = Z - eta D;  V' = beta V + (1-beta) Z - gamma eta D;
-    Z' = alpha V + (1-alpha) W'.
+    Z' = alpha V + (1-alpha) W',
+
+    where D is ``direction`` on the ``block`` rows and zero elsewhere. W, V, Z
+    and ``scratch`` (same shape) must be distinct arrays; no other full-size
+    array is allocated. Each term is formed in the order of the formula, and
+    rows outside the block skip only the subtraction of an exact zero, so the
+    bits are those of the out-of-place expression.
     """
-    W_next = Z - eta * direction
-    V_next = beta * V + (1.0 - beta) * Z - (gamma * eta) * direction
-    Z_next = alpha * V + (1.0 - alpha) * W_next
-    return W_next, V_next, Z_next
+    for a, b in itertools.combinations((W, V, Z, scratch), 2):
+        if np.may_share_memory(a, b):
+            raise ContractError("the accelerated update needs distinct W, V, Z and scratch arrays")
+    np.multiply(V, alpha, out=scratch)          # alpha V, before V moves
+    V *= beta
+    np.multiply(Z, 1.0 - beta, out=W)           # the incoming W is not used
+    V += W
+    V[block] -= (gamma * eta) * direction
+    np.copyto(W, Z)
+    W[block] -= eta * direction
+    np.multiply(W, 1.0 - alpha, out=Z)
+    Z += scratch
 
 
 # ---------------------------------------------------------------------------
@@ -160,18 +175,26 @@ class TailAverager:
 
 @dataclass
 class SolverState:
-    """Iterate triple; V and Z alias W whenever acceleration is off."""
+    """Iterate triple; V and Z alias W whenever acceleration is off.
+
+    An accelerated state also carries the scratch array of the in-place
+    Nesterov update, and ``kbb``, the b x b buffer its steps fill with
+    K[B,B]. Reusing both keeps a step from allocating (and page-faulting)
+    arrays of that size every iteration.
+    """
 
     W: np.ndarray
     V: np.ndarray
     Z: np.ndarray
     iteration: int = 0
+    scratch: np.ndarray | None = None
+    kbb: np.ndarray | None = None
 
     @classmethod
     def zeros(cls, n, m, accelerated=False):
         W = np.zeros((n, m))
         if accelerated:
-            return cls(W, W.copy(), W.copy())
+            return cls(W, W.copy(), W.copy(), scratch=np.empty_like(W))
         return cls(W, W, W)
 
 
@@ -222,7 +245,9 @@ def _as_columns(Y, n):
 
 def _relative_residual(oracle, W, Y, ynorm, pool=None):
     with np.errstate(over="ignore", invalid="ignore"):
-        res = oracle.matmul(W, pool) + oracle.lam * W - Y
+        res = oracle.matmul(W, pool)
+        res += oracle.lam * W
+        res -= Y
         return float(np.linalg.norm(res) / ynorm)
 
 
@@ -361,17 +386,22 @@ def adasap_step(oracle, state, Y, config, accel, pool=None, identity_precond=Fal
     (or at W when ``config.grad_eval_point == "w"``), whose kernel pass also
     yields K[B,B]; Gaussian sketch K[B,B] @ Omega; Nystrom factor with damping
     S_r + lam; automatic stepsize by randomized powering with K[B,B];
-    Nesterov update of (W, V, Z).
+    Nesterov update of (W, V, Z) in place. ``state`` must be accelerated
+    (``SolverState.zeros(..., accelerated=True)``).
 
     Returns (state, stepsize, block).
     """
+    if state.scratch is None:
+        raise ContractError("adasap needs an accelerated state with a scratch array")
     n = oracle.n
     lam = oracle.lam
     t = state.iteration
     blocksize = resolve_blocksize(config, n)
     block = _uniform_block(config.seed, t, n, blocksize)
     point = state.Z if config.grad_eval_point == "z" else state.W
-    Kbb = np.empty((blocksize, blocksize))
+    if state.kbb is None or state.kbb.shape != (blocksize, blocksize):
+        state.kbb = np.empty((blocksize, blocksize))
+    Kbb = state.kbb
     grad = (col_dist_matmul(oracle, point, block, pool, block_out=Kbb)
             + lam * point[block] - Y[block])
 
@@ -390,11 +420,8 @@ def adasap_step(oracle, state, Y, config, accel, pool=None, identity_precond=Fal
     eta = rand_power_stepsize(
         h_apply, factor, rho, iters=10, seed=substream(config.seed, "power", t)
     )
-    direction = np.zeros_like(state.W)
-    direction[block] = apply_inv(factor, rho, grad)
-    state.W, state.V, state.Z = nesterov_update(
-        state.W, state.V, state.Z, direction, eta, accel.beta, accel.gamma, accel.alpha
-    )
+    nesterov_update(state.W, state.V, state.Z, block, apply_inv(factor, rho, grad), eta,
+                    accel.beta, accel.gamma, accel.alpha, state.scratch)
     state.iteration += 1
     return state, eta, block
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, kernel_from_dict
 from .dpp import (
     DppModel,
     expected_projection_mc,
@@ -23,7 +23,9 @@ from .dpp import (
     smoothed_condition,
 )
 from .errors import ContractError
-from .kernels import DenseOracle
+from .gp import ExactPrior, pathwise_sample
+from .kernels import DenseOracle, KernelOracle, cross_kernel
+from .randnla import apply_inv, apply_inv_plain, apply_inv_sqrt, rand_nystrom
 from .rng import substream
 from .solvers import sap_solve
 
@@ -482,6 +484,78 @@ def verify_linear_rate(problem, half_blocksize, trials, iters, seed, projection=
             "iters": iters,
             "rate_estimate": lam_hat,
             "initial_error": init,
+        },
+    )
+
+
+# ---------------------------------------------------------------------------
+# Nystrom and pathwise-conditioning certification
+
+
+def verify_nystrom(seed):
+    """Factor exactness and damped-application identities on random blocks."""
+    rng = substream(seed, "verify")
+    dim = 48
+    G = rng.standard_normal((dim, dim))
+    M = G @ G.T / dim
+    omega = rng.standard_normal((dim, dim))
+    factor = rand_nystrom(M @ omega, omega, dim)
+    recon = (factor.U * factor.S) @ factor.U.T
+    recon_err = np.linalg.norm(recon - M) / np.linalg.norm(M)
+    rho = 0.3
+    vec = rng.standard_normal(dim)
+    dense = np.linalg.solve(recon + rho * np.eye(dim), vec)
+    inv_err = np.linalg.norm(apply_inv(factor, rho, vec) - dense) / np.linalg.norm(dense)
+    twice = apply_inv_sqrt(factor, rho, apply_inv_sqrt(factor, rho, vec))
+    sqrt_err = np.linalg.norm(twice - apply_inv_plain(factor, rho, vec)) / np.linalg.norm(dense)
+    checks = {
+        "full_rank_reconstruction": (float(recon_err), 1e-8),
+        "apply_inv_vs_dense": (float(inv_err), 1e-10),
+        "apply_inv_sqrt_squared": (float(sqrt_err), 1e-10),
+    }
+    passed = all(err <= tol for err, tol in checks.values())
+    return VerificationReport(
+        name="nystrom",
+        passed=passed,
+        details={key: {"error": err, "tolerance": tol} for key, (err, tol) in checks.items()},
+    )
+
+
+def verify_pathwise(seed):
+    """Pathwise sample moments against the closed-form posterior (small n)."""
+    rng = substream(seed, "verify")
+    n, t, s, lam = 30, 5, 2000, 0.05
+    X = rng.uniform(-2.0, 2.0, size=(n, 2))
+    Xstar = rng.uniform(-2.0, 2.0, size=(t, 2))
+    spec = kernel_from_dict({"family": "rbf", "lengthscales": [0.8, 0.8]})
+    oracle = KernelOracle(spec, X, lam)
+    y = rng.standard_normal(n)
+    K = oracle.dense()
+    cross = cross_kernel(spec, Xstar, X)
+    A = K + lam * np.eye(n)
+    exact_mean = cross @ np.linalg.solve(A, y)
+    exact_cov = cross_kernel(spec, Xstar, Xstar) - cross @ np.linalg.solve(A, cross.T)
+
+    prior = ExactPrior(spec, X, Xstar)
+
+    def solve_fn(orc, rhs):
+        return np.linalg.solve(A, rhs)
+
+    samples = pathwise_sample(oracle, prior, y, s, seed, solve_fn, Xstar=Xstar)
+    emp_mean = samples.sample_mean()
+    emp_cov = samples.sample_covariance()
+    mean_se = np.sqrt(np.diag(exact_cov) / s)
+    mean_ok = np.all(np.abs(emp_mean - exact_mean) <= 4.0 * np.maximum(mean_se, 1e-12))
+    var_prod = np.outer(np.diag(exact_cov), np.diag(exact_cov))
+    cov_se = np.sqrt((var_prod + exact_cov**2) / s)
+    cov_ok = np.all(np.abs(emp_cov - exact_cov) <= 4.0 * np.maximum(cov_se, 1e-12))
+    return VerificationReport(
+        name="pathwise",
+        passed=bool(mean_ok and cov_ok),
+        details={
+            "mean_max_dev_sigmas": float(np.max(np.abs(emp_mean - exact_mean) / np.maximum(mean_se, 1e-12))),
+            "cov_max_dev_sigmas": float(np.max(np.abs(emp_cov - exact_cov) / np.maximum(cov_se, 1e-12))),
+            "num_samples": s,
         },
     )
 

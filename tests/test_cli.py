@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import sapgp.cli
 from sapgp.cli import main
 
 
@@ -267,9 +268,13 @@ def test_non_object_run_section_is_one_error_line(tmp_path, capsys, command):
     assert len(err) == 1 and err[0].startswith("error: ") and "'run'" in err[0]
 
 
-def test_unexpected_exception_is_one_error_line(tmp_path, capsys):
-    # a non-numeric sample count fails inside int(), outside the config checks
-    code = run_cli("--out", str(tmp_path / "out"), "--set", "infer.num_samples=abc", "infer")
+def test_unexpected_exception_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # a handler that fails outside every config check reaches the catch-all
+    def broken(args):
+        return int("abc")
+
+    monkeypatch.setattr(sapgp.cli, "cmd_infer", broken)
+    code = run_cli("--out", str(tmp_path / "out"), "infer")
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["error: ValueError: invalid literal for int() with base 10: 'abc'"]
@@ -295,3 +300,19 @@ def test_bad_problem_value_names_its_key(tmp_path, capsys, key, value):
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: problem.{key} must be")
+
+
+@pytest.mark.parametrize("args,key", [
+    (["--set", "verify.n=50.7", "--set", "verify.half_blocksize=4",
+      "--set", "verify.num_samples=200", "verify", "lemma2"], "verify.n"),
+    (["--set", "verify.beta=abc", "verify", "theorem1"], "verify.beta"),
+    (["--set", "verify.projection_samples=1e400", "verify", "linear_rate"],
+     "verify.projection_samples"),
+    (["--set", "infer.num_samples=abc", "infer"], "infer.num_samples"),
+    (["--set", "infer.num_features=2.5", "infer"], "infer.num_features"),
+])
+def test_bad_verify_and_infer_values_name_their_key(tmp_path, capsys, args, key):
+    code = run_cli("--out", str(tmp_path / "out"), *args)
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {key} must be")

@@ -1,7 +1,11 @@
+import math
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from sapgp import KernelOracle, KernelSpec, RunConfig, pcg_solve
+from sapgp import ContractError, KernelOracle, KernelSpec, RunConfig, pcg_solve
 from sapgp.gp import (
     ExactPrior,
     PosteriorMean,
@@ -13,6 +17,7 @@ from sapgp.gp import (
     posterior_mean,
     rmse,
 )
+from sapgp.dist import TILE
 from sapgp.kernels import cross_kernel, kernel_eval
 from sapgp.rng import substream
 
@@ -188,6 +193,88 @@ def test_pathwise_single_sample_reproducible():
     a = pathwise_sample(oracle, prior, y, 1, seed=20, solve_fn=solve_fn, Xstar=Xs)
     b = pathwise_sample(oracle, prior, y, 1, seed=20, solve_fn=solve_fn, Xstar=Xs)
     assert np.array_equal(a.sample_values, b.sample_values)
+
+
+# ---------------------------------------------------------------------------
+# the streamed random-feature prior
+
+STREAM_SIZES = (TILE - 1, TILE, TILE + 1, 2 * TILE + 1)
+
+
+def test_features_match_the_closed_form():
+    rng = np.random.default_rng(21)
+    spec = KernelSpec("matern32", np.array([0.7, 1.1, 1.3]), 1.6)
+    rfm = RandomFeatureMap.sample(spec, 333, seed=8)
+    X = make_points(rng, 300, d=3)
+    scale = math.sqrt(2.0 * rfm.variance / rfm.num_features)
+    assert np.array_equal(rfm.features(X), scale * np.cos(X @ rfm.frequencies.T + rfm.phases))
+
+
+@pytest.mark.parametrize("n", STREAM_SIZES)
+def test_draw_state_equals_the_whole_feature_product(n):
+    # the infer default: 2,048 features of 4 inputs
+    rng = np.random.default_rng(n)
+    spec = KernelSpec("rbf", np.ones(4), 1.0)
+    rfm = RandomFeatureMap.sample(spec, 2048, seed=n)
+    X, Xs = make_points(rng, n, d=4), make_points(rng, n + 3, d=4)
+    f_train, f_test, theta = RandomFeaturePrior(rfm, X, Xs).draw_state(7, 5)
+    assert np.array_equal(theta, np.random.default_rng(7).standard_normal((2048, 5)))
+    assert np.array_equal(f_train, rfm.features(X) @ theta)
+    assert np.array_equal(f_test, rfm.features(Xs) @ theta)
+
+
+def test_prior_rejects_points_of_the_wrong_dimension():
+    rfm = RandomFeatureMap.sample(KernelSpec("rbf", np.ones(2), 1.0), 16, seed=0)
+    with pytest.raises(ContractError):
+        RandomFeaturePrior(rfm, np.zeros((5, 2)), np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("n", (TILE - 1, 2 * TILE + 1))
+def test_tiled_zeta_equals_one_draw(n):
+    rng = np.random.default_rng(22)
+    spec = KernelSpec("rbf", np.ones(2), 1.0)
+    X, Xs = make_points(rng, n), make_points(rng, 4)
+    y = rng.standard_normal(n)
+    lam, s, seed = 0.07, 3, 31
+    prior = RandomFeaturePrior(RandomFeatureMap.sample(spec, 64, seed=2), X, Xs)
+    seen = []
+
+    def solve_fn(oracle, rhs):
+        seen.append(rhs.copy())
+        return np.zeros_like(rhs)
+
+    pathwise_sample(SimpleNamespace(lam=lam), prior, y, s, seed, solve_fn,
+                    cross=lambda W: np.zeros((4, W.shape[1])))
+    f_train, _, _ = prior.draw_state(substream(seed, "prior"), s)
+    zeta = math.sqrt(lam) * substream(seed, "zeta").standard_normal((n, s))
+    want = np.concatenate([y[:, None], y[:, None] - f_train - zeta], axis=1)
+    assert np.array_equal(seen[0], want)
+
+
+def pathwise_peak_bytes(num_features, n, t, s):
+    rng = np.random.default_rng(23)
+    spec = KernelSpec("rbf", np.ones(4), 1.0)
+    X, Xs = make_points(rng, n, d=4), make_points(rng, t, d=4)
+    y = rng.standard_normal(n)
+    rfm = RandomFeatureMap.sample(spec, num_features, seed=3)
+    tracemalloc.start()
+    try:
+        prior = RandomFeaturePrior(rfm, X, Xs)
+        pathwise_sample(SimpleNamespace(lam=0.1), prior, y, s, 5, lambda o, rhs: rhs,
+                        cross=lambda W: np.zeros((t, W.shape[1])))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pathwise_memory_does_not_grow_with_the_feature_count():
+    n, t, s = 16 * TILE, 4 * TILE, 8
+    small = pathwise_peak_bytes(256, n, t, s)
+    large = pathwise_peak_bytes(4096, n, t, s)
+    # one row tile of features (TILE x q) is the only q-sized array; holding
+    # phi(X) at 4,096 features would add n * 3,840 * 8 bytes = 126 MB
+    one_tile = TILE * (4096 - 256) * 8
+    assert large - small <= one_tile + 4096 * s * 8 + (1 << 20)
 
 
 # ---------------------------------------------------------------------------

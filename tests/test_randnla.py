@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sapgp import ContractError, NystromFactor, apply_inv, apply_inv_plain, apply_inv_sqrt, rand_nystrom, rand_power_stepsize
 from sapgp.rng import substream
@@ -148,6 +152,57 @@ def test_apply_inv_sqrt_squares_to_inverse():
     v = rng.standard_normal(16)
     twice = apply_inv_sqrt(factor, rho, apply_inv_sqrt(factor, rho, v))
     assert np.linalg.norm(twice - apply_inv_plain(factor, rho, v)) <= 1e-10
+
+
+@st.composite
+def damped_factors(draw):
+    """(factor, rho, rhs): orthonormal U of any rank, a descending spectrum
+    whose tail may be exact zeros (the pruned modes), rho over four decades."""
+    dim = draw(st.integers(1, 40))
+    rank = draw(st.integers(0, dim))
+    zeros = draw(st.integers(0, rank))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    U, _ = np.linalg.qr(rng.standard_normal((dim, rank)))
+    positive = 10.0 ** rng.uniform(-6.0, 2.0, size=rank - zeros)
+    S = np.concatenate([np.sort(positive)[::-1], np.zeros(zeros)])
+    rho = 10.0 ** draw(st.floats(-2.0, 2.0))
+    cols = draw(st.sampled_from([None, 1, 3]))
+    rhs = rng.standard_normal(dim if cols is None else (dim, cols))
+    return NystromFactor(U, S), rho, rhs
+
+
+def dense_system(factor, rho):
+    return dense_from(factor) + rho * np.eye(factor.dim)
+
+
+def condition(factor, rho):
+    return (factor.S.max(initial=0.0) + rho) / rho
+
+
+@settings(max_examples=60, deadline=None)
+@given(damped_factors())
+def test_apply_inv_matches_dense_solve(case):
+    factor, rho, g = case
+    want = np.linalg.solve(dense_system(factor, rho), g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # no Woodbury fallback here
+        got = apply_inv(factor, rho, g)
+    assert got.shape == g.shape
+    tol = 1e-13 * condition(factor, rho) * max(factor.dim, 1)
+    assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+    assert np.linalg.norm(apply_inv_plain(factor, rho, g) - want) <= tol * np.linalg.norm(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(damped_factors())
+def test_apply_inv_sqrt_matches_dense_root(case):
+    factor, rho, v = case
+    evals, evecs = np.linalg.eigh(dense_system(factor, rho))
+    want = evecs @ ((evecs.T @ v).T / np.sqrt(evals)).T
+    got = apply_inv_sqrt(factor, rho, v)
+    assert got.shape == v.shape
+    tol = 1e-13 * condition(factor, rho) * max(factor.dim, 1)
+    assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
 
 
 def test_stepsize_scalar_operator():

@@ -53,10 +53,17 @@ def test_accel_params_positive():
         AccelParams(0.0, 1.0)
 
 
+def updated(W, V, Z, block, d, eta, beta, gamma, alpha):
+    """Copies of (W, V, Z) after the in-place ``nesterov_update``."""
+    Wn, Vn, Zn = W.copy(), V.copy(), Z.copy()
+    nesterov_update(Wn, Vn, Zn, block, d, eta, beta, gamma, alpha, np.empty_like(W))
+    return Wn, Vn, Zn
+
+
 def test_nesterov_degenerate_coefficients():
     rng = np.random.default_rng(0)
     W, V, Z, D = (rng.standard_normal((6, 2)) for _ in range(4))
-    Wn, Vn, Zn = nesterov_update(W, V, Z, D, 0.7, beta=1.0, gamma=0.0, alpha=0.0)
+    Wn, Vn, Zn = updated(W, V, Z, np.arange(6), D, 0.7, beta=1.0, gamma=0.0, alpha=0.0)
     assert np.array_equal(Vn, V)
     assert np.allclose(Wn, Z - 0.7 * D)
     assert np.array_equal(Zn, Wn)
@@ -65,8 +72,43 @@ def test_nesterov_degenerate_coefficients():
 def test_nesterov_zero_direction_fixed_point():
     rng = np.random.default_rng(1)
     W = rng.standard_normal((5, 1))
-    Wn, Vn, Zn = nesterov_update(W, W, W, np.zeros_like(W), 1.0, 0.5, 2.0, 0.3)
+    Wn, Vn, Zn = updated(W, W, W, np.arange(5), np.zeros_like(W), 1.0, 0.5, 2.0, 0.3)
     assert np.allclose(Wn, W) and np.allclose(Vn, W) and np.allclose(Zn, W)
+
+
+def nesterov_reference(W, V, Z, direction, eta, beta, gamma, alpha):
+    """The out-of-place update over a full-size direction (zero off the block)."""
+    W_next = Z - eta * direction
+    V_next = beta * V + (1.0 - beta) * Z - (gamma * eta) * direction
+    Z_next = alpha * V + (1.0 - alpha) * W_next
+    return W_next, V_next, Z_next
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_nesterov_in_place_matches_out_of_place(seed):
+    rng = np.random.default_rng(seed)
+    n, m = rng.integers(1, 40), rng.integers(1, 4)
+    W, V, Z = (rng.standard_normal((n, m)) for _ in range(3))
+    block = np.sort(rng.choice(n, size=rng.integers(1, n + 1), replace=False))
+    d = rng.standard_normal((block.size, m))
+    accel = AccelParams(rng.uniform(1e-4, 1.0), rng.uniform(1.0, 50.0))
+    eta = rng.uniform(0.1, 2.0)
+    coeffs = (eta, accel.beta, accel.gamma, accel.alpha)
+    direction = np.zeros_like(W)
+    direction[block] = d
+    want = nesterov_reference(W, V, Z, direction, *coeffs)
+    got = updated(W, V, Z, block, d, *coeffs)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()  # every row, inside the block or not
+
+
+def test_nesterov_rejects_aliased_arrays():
+    W = np.zeros((4, 1))
+    with pytest.raises(ContractError):
+        nesterov_update(W, W, W, np.arange(2), np.ones((2, 1)), 1.0, 0.5, 2.0, 0.3, W.copy())
+    with pytest.raises(ContractError):
+        nesterov_update(W, W.copy(), W.copy(), np.arange(2), np.ones((2, 1)), 1.0, 0.5, 2.0,
+                        0.3, W[:, :1])
 
 
 def test_tail_average_batch_and_streaming():
@@ -296,6 +338,35 @@ def test_adasap_full_rank_matches_sap_direction():
     sap_dir = sap_state.W[:, 0]
     cosine = ada_dir @ sap_dir / (np.linalg.norm(ada_dir) * np.linalg.norm(sap_dir))
     assert cosine >= 1.0 - 1e-8
+
+
+def test_adasap_step_rejects_an_aliased_state():
+    oracle, rng = rbf_oracle(30, 0.3, seed=6)
+    y = rng.standard_normal((30, 1))
+    cfg = RunConfig(lam=0.3, solver_id="adasap", blocksize=6, max_iters=1)
+    accel = resolve_accel(cfg, 30, 6)
+    plain = SolverState.zeros(30, 1)  # V and Z alias W
+    with pytest.raises(ContractError):
+        adasap_step(oracle, plain, y, cfg, accel)
+    aliased = SolverState.zeros(30, 1, accelerated=True)
+    aliased.scratch = aliased.V
+    with pytest.raises(ContractError):
+        adasap_step(oracle, aliased, y, cfg, accel)
+
+
+def test_adasap_step_reuses_or_replaces_its_block_buffer():
+    oracle, rng = rbf_oracle(40, 0.3, seed=7)
+    y = rng.standard_normal((40, 2))
+    cfg = RunConfig(lam=0.3, solver_id="adasap", blocksize=8, nystrom_rank=4, max_iters=1)
+    accel = resolve_accel(cfg, 40, 8)
+    fresh = SolverState.zeros(40, 2, accelerated=True)
+    adasap_step(oracle, fresh, y, cfg, accel)
+    for stale in (np.full((8, 8), np.nan), np.full((5, 5), np.nan)):
+        state = SolverState.zeros(40, 2, accelerated=True)
+        state.kbb = stale
+        adasap_step(oracle, state, y, cfg, accel)
+        assert state.kbb.shape == (8, 8)
+        assert np.array_equal(state.W, fresh.W) and np.array_equal(state.Z, fresh.Z)
 
 
 def test_adasap_identity_equals_plain_block_descent():
