@@ -255,14 +255,18 @@ def cmd_verify(args):
     run_config = RunConfig.from_dict(tree["run"])
     seed = run_config.seed
     section = dict(tree.get("verify", {}))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     suite = args.suite
     if suite not in VERIFY_SUITES:
         print(f"error: unknown verify suite {suite!r}", file=sys.stderr)
         return EXIT_ERROR
     table, run_suite = VERIFY_SUITES[suite]
-    report = run_suite(section_numbers("verify", section, table), seed)
+    unknown = sorted(f"verify.{key}" for key in set(section) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown keys for verify {suite}: {', '.join(unknown)}")
+    values = section_numbers("verify", section, table)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    report = run_suite(values, seed)
 
     report.to_json(out_dir / f"report_{suite}.json")
     if report.gridpoints:

@@ -89,12 +89,19 @@ def _family_values(family, variance, sq):
     return sq
 
 
-def _sq_dists(za, ra, zb, rb):
-    """Squared distances ``(ra + rb) - 2 za zb^T`` between scaled points, with
-    ``ra``/``rb`` their squared row norms; the product is subtracted in place."""
-    sq = ra[:, None] + rb[None, :]
-    sq -= 2.0 * za @ zb.T
-    return sq
+def _augment(spec, X):
+    """Scaled points ``z = X / lengthscales`` as rows ``[z, |z|^2, 1]``."""
+    z = _scale(spec, X)
+    norms = np.einsum("ij,ij->i", z, z)[:, None]
+    return np.hstack([z, norms, np.ones_like(norms)])
+
+
+def _values(spec, a, b):
+    """k between augmented points: ``a @ [-2z, 1, |z|^2].T``, the right side formed
+    from ``b``, is the squared distance matrix in one GEMM, turned into k in place."""
+    rhs = b * -2.0
+    rhs[:, -2:] = b[:, :-3:-1]  # [1, |z|^2]: the last two columns of b, reversed
+    return _family_values(spec.family, spec.variance, a @ rhs.T)
 
 
 def kernel_eval(spec, x, y):
@@ -112,10 +119,7 @@ def kernel_eval(spec, x, y):
 
 def cross_kernel(spec, Xa, Xb):
     """Dense cross matrix k(Xa, Xb)."""
-    za = _scale(spec, Xa)
-    zb = _scale(spec, Xb)
-    sq = _sq_dists(za, np.einsum("ij,ij->i", za, za), zb, np.einsum("ij,ij->i", zb, zb))
-    return _family_values(spec.family, spec.variance, sq)
+    return _values(spec, _augment(spec, Xa), _augment(spec, Xb))
 
 
 class KernelOracle:
@@ -135,25 +139,22 @@ class KernelOracle:
         self.spec = spec
         self.X = X
         self.lam = float(lam)
-        self._scaled = _scale(spec, X)
-        self._row_sq = np.einsum("ij,ij->i", self._scaled, self._scaled)
+        self._aug = _augment(spec, X)
 
     @property
     def n(self):
         return self.X.shape[0]
 
     def tile(self, rows, cols):
-        """Dense K[rows, cols]; entries with equal row/col index are exactly
-        the kernel variance."""
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        sq = _sq_dists(self._scaled[rows], self._row_sq[rows],
-                       self._scaled[cols], self._row_sq[cols])
-        hit = np.flatnonzero(np.isin(rows, cols))
-        if hit.size:
+        """Dense K[rows, cols] from one GEMM; equal row/col indices (sought among
+        rows within the span of ``cols``) give exactly the kernel variance."""
+        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        out = _values(self.spec, self._aug[rows], self._aug[cols])
+        if cols.size:
+            hit = np.flatnonzero((rows >= cols.min()) & (rows <= cols.max()))
             i, j = np.nonzero(rows[hit, None] == cols[None, :])
-            sq[hit[i], j] = 0.0
-        return _family_values(self.spec.family, self.spec.variance, sq)
+            out[hit[i], j] = self.spec.variance
+        return out
 
     def block(self, block):
         """Dense ``dist.symmetrize(K[block, block])``: symmetric to the last bit,
@@ -165,8 +166,7 @@ class KernelOracle:
         """Full K for test oracles; refuses above DENSE_LIMIT."""
         if self.n > DENSE_LIMIT:
             raise ContractError(f"dense kernel matrix refused for n={self.n}")
-        block = np.arange(self.n)
-        return self.block(block)
+        return self.block(np.arange(self.n))
 
     def matmul(self, M, pool=None):
         """K @ M without materializing K, evaluating each tile pair once.
@@ -207,15 +207,11 @@ class KernelOracle:
     def cross_matmul(self, Xstar, W):
         """k(Xstar, X) @ W, tiled over training points."""
         W = np.asarray(W, dtype=np.float64)
-        vector = W.ndim == 1
-        W2 = W[:, None] if vector else W
-        zs = _scale(self.spec, Xstar)
-        rs = np.einsum("ij,ij->i", zs, zs)
-        out = np.zeros((zs.shape[0], W2.shape[1]))
+        zs = _augment(self.spec, Xstar)
+        out = np.zeros(zs.shape[:1] + W.shape[1:])
         for start, stop in dist.tile_ranges(self.n):
-            sq = _sq_dists(zs, rs, self._scaled[start:stop], self._row_sq[start:stop])
-            out += _family_values(self.spec.family, self.spec.variance, sq) @ W2[start:stop]
-        return out[:, 0] if vector else out
+            out += _values(self.spec, zs, self._aug[start:stop]) @ W[start:stop]
+        return out
 
 
 class DenseOracle:
@@ -237,7 +233,11 @@ class DenseOracle:
         return self.K.shape[0]
 
     def tile(self, rows, cols):
-        return self.K[np.ix_(np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp))]
+        """K[rows, cols]; an ascending in-range run of ``cols`` is served as a slice."""
+        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        if cols.size and np.all(np.diff(cols) == 1) and 0 <= cols[0] and cols[-1] < self.n:
+            return self.K[rows, cols[0]:cols[-1] + 1]
+        return self.K[np.ix_(rows, cols)]
 
     def block(self, block):
         block = dist.check_indices(block, self.n)

@@ -38,6 +38,9 @@ from sapgp.theory import (
     verify_theorem1,
 )
 
+# minutes of Monte Carlo: `pytest -m "not slow"` leaves the file out
+pytestmark = pytest.mark.slow
+
 
 def announce(number, passed, detail):
     line = f"ACCEPTANCE {number:02d} {'PASS' if passed else 'FAIL'}: {detail}"

@@ -316,3 +316,17 @@ def test_bad_verify_and_infer_values_name_their_key(tmp_path, capsys, args, key)
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {key} must be")
+
+
+@pytest.mark.parametrize("args,key", [
+    (["--set", "verify.bogus=1", "verify", "nystrom"], "verify.bogus"),
+    (["--set", "verify.trails=5", "--set", "verify.n=12", "verify", "theorem1"],
+     "verify.trails"),
+])
+def test_verify_rejects_keys_outside_the_suite_table(tmp_path, capsys, args, key):
+    code = run_cli("--out", str(tmp_path / "out"), *args)
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+    assert "verify.n" not in err[0]  # a key the suite reads is not named
+    assert not (tmp_path / "out").exists()

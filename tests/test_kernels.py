@@ -165,20 +165,32 @@ def test_family_values_bitwise_match_closed_forms(family):
 
 
 @pytest.mark.parametrize("family", ["rbf", "matern32", "matern52"])
-@pytest.mark.parametrize("overlap", ["disjoint", "partial", "identical"])
+@pytest.mark.parametrize("overlap", ["disjoint", "partial", "identical", "contiguous",
+                                     "noncontiguous", "unsorted"])
 def test_tile_equal_indices_are_exactly_variance(family, overlap):
     rng = np.random.default_rng(11)
     oracle = KernelOracle(KernelSpec(family, np.array([0.9, 1.4]), 1.7),
                           rng.standard_normal((50, 2)) * 10.0, 0.1)
     rows = rng.permutation(50)[:20]
+    lo, hi = np.sort(rows)[[3, 15]]  # rows at both ends of the column span
     cols = {"disjoint": np.setdiff1d(np.arange(50), rows)[:15],
             "partial": np.concatenate([rows[5:12], np.setdiff1d(np.arange(50), rows)[:6]]),
-            "identical": rows}[overlap]
+            "identical": rows,
+            # a range, as every product passes: all rows inside it are hits
+            "contiguous": np.arange(lo, hi + 1),
+            # sorted with gaps: rows inside the span that are not in cols
+            "noncontiguous": np.union1d(np.arange(lo, hi + 1, 3), [hi]),
+            "unsorted": np.concatenate([[hi], rng.permutation(np.arange(lo + 1, hi))[:9],
+                                        [lo]])}[overlap]
     tile = oracle.tile(rows, cols)
     equal = rows[:, None] == cols[None, :]
     assert equal.any() == (overlap != "disjoint")
     assert np.all(tile[equal] == 1.7)
     assert np.all(tile[~equal] < 1.7)
+    if overlap == "contiguous":  # also each row at either end of a range
+        for r in range(50):
+            for span in (np.arange(max(r - 4, 0), r + 1), np.arange(r, min(r + 5, 50))):
+                assert oracle.tile([r], span)[0, span == r] == 1.7
 
 
 def test_cross_matmul_matches_dense():
@@ -200,3 +212,80 @@ def test_dense_oracle_roundtrip():
     B = np.array([0, 4, 7])
     assert np.allclose(oracle.block(B), K[np.ix_(B, B)])
     assert np.abs(oracle.K - oracle.K.T).max() == 0.0
+
+
+def parent_sq_dists(za, zb):
+    """The earlier two-pass formula ``(|za|^2 + |zb|^2) - 2 za zb^T``, kept as
+    the reference for the one-GEMM tile, and the norm sums that scale its error."""
+    ra = np.einsum("ij,ij->i", za, za)
+    rb = np.einsum("ij,ij->i", zb, zb)
+    sq = ra[:, None] + rb[None, :]
+    sq -= 2.0 * za @ zb.T
+    return sq, ra[:, None] + rb[None, :]
+
+
+@pytest.mark.parametrize("family", ["rbf", "matern32", "matern52"])
+@pytest.mark.parametrize("layout", ["duplicates", "near", "offset"])
+def test_tile_matches_two_pass_distances(family, layout):
+    rng = np.random.default_rng(12)
+    ls, var = np.array([0.7, 1.3, 0.9]), 1.6
+    X = rng.standard_normal((90, 3))
+    if layout == "duplicates":
+        X[30:60] = X[:30]  # equal points under different indices
+    elif layout == "near":
+        X[30:60] = X[:30] + 1e-9 * rng.standard_normal((30, 3))
+    else:
+        X += 1e3  # norms far above the distances
+    oracle = KernelOracle(KernelSpec(family, ls, var), X, 0.1)
+    rows = rng.permutation(90)[:40]
+    cols = np.arange(20, 75)
+    sq, norms = parent_sq_dists(X[rows] / ls, X[cols] / ls)
+    sq[rows[:, None] == cols[None, :]] = 0.0
+    ref = reference_family_values(family, var, sq)
+    # |dk/dsq| <= 1.5 var for the three families, plus rounding of the values
+    eps = np.finfo(np.float64).eps
+    bound = 1.5 * var * 8 * eps * norms + 8 * eps * var
+    got = oracle.tile(rows, cols)
+    assert np.all(np.abs(got - ref) <= bound)
+    if layout != "offset":
+        assert np.abs(got - ref).max() <= 1e-14
+
+
+@pytest.mark.parametrize("family", ["rbf", "matern32", "matern52"])
+def test_cross_matmul_matches_cross_kernel_over_tiles(family):
+    rng = np.random.default_rng(13)
+    X = rng.standard_normal((2 * TILE + 1, 3))
+    Xs = rng.standard_normal((33, 3))
+    spec = KernelSpec(family, np.array([0.8, 1.1, 1.5]), 1.4)
+    oracle = KernelOracle(spec, X, 0.5)
+    W = rng.standard_normal((2 * TILE + 1, 5))
+    ref = cross_kernel(spec, Xs, X) @ W
+    got = oracle.cross_matmul(Xs, W)
+    assert got.shape == (33, 5)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    vec = oracle.cross_matmul(Xs, W[:, 0])
+    assert vec.shape == (33,) and np.abs(vec - ref[:, 0]).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("cols", ["contiguous", "single", "noncontiguous", "unsorted",
+                                  "repeated", "negative"])
+def test_dense_oracle_tile_slice_equals_gather(cols):
+    rng = np.random.default_rng(14)
+    G = rng.standard_normal((40, 40))
+    oracle = DenseOracle(G @ G.T, 0.1)
+    rows = rng.permutation(40)[:13]
+    cols = {"contiguous": np.arange(7, 31), "single": np.array([5]),
+            "noncontiguous": np.array([1, 2, 3, 5, 6]),
+            "unsorted": np.array([9, 8, 10, 11]), "repeated": np.array([4, 4, 5]),
+            "negative": np.array([-3, -2, -1])}[cols]
+    before = oracle.K.copy()
+    tile = oracle.tile(rows, cols)
+    assert np.array_equal(tile, before[np.ix_(rows, cols)])
+    tile[:] = 0.0  # a copy: writing to it leaves the oracle's matrix alone
+    assert np.array_equal(oracle.K, before)
+
+
+def test_dense_oracle_tile_range_past_the_end_is_an_index_error():
+    oracle = DenseOracle(np.eye(6), 0.1)
+    with pytest.raises(IndexError):
+        oracle.tile(np.arange(2), np.array([5, 6]))

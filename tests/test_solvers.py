@@ -20,6 +20,7 @@ from sapgp import (
     sdd_solve,
     solve,
 )
+from sapgp.dist import TILE
 from sapgp.randnla import rand_power_stepsize
 from sapgp.rng import substream
 from sapgp.solvers import SolverState, TailAverager, resolve_accel
@@ -540,3 +541,23 @@ def test_trace_csv_schema(tmp_path):
     assert len(lines) == 9
     seconds = [float(line.split(",")[1]) for line in lines[1:]]
     assert all(a <= b for a, b in zip(seconds, seconds[1:]))
+
+
+# ---------------------------------------------------------------------------
+# edge sizes: n near the tile width, b = n, rank = b
+
+
+@pytest.mark.parametrize("solver_id", ["sap", "adasap"])
+@pytest.mark.parametrize("n", [TILE - 1, TILE, TILE + 1, 2 * TILE + 1])
+def test_edge_sizes_full_block_bitwise_across_workers(solver_id, n):
+    oracle, rng = rbf_oracle(n, 1e-2, seed=n)
+    Y = rng.standard_normal((n, 2))
+    kw = dict(lam=1e-2, solver_id=solver_id, blocksize=n, nystrom_rank=n, max_iters=3,
+              residual_every=1, seed=5)
+    serial = solve(oracle, Y, RunConfig(num_workers=1, **kw))
+    pooled = solve(oracle, Y, RunConfig(num_workers=2, **kw))
+    assert not serial.diverged and serial.iterations == 3 and serial.passes == 3.0
+    assert np.array_equal(pooled.W, serial.W)
+    assert np.array_equal(pooled.trace.residuals(), serial.trace.residuals())
+    res = oracle.matmul(serial.W) + oracle.lam * serial.W - Y
+    assert serial.trace.final_residual() == float(np.linalg.norm(res) / np.linalg.norm(Y))
