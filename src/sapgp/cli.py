@@ -291,8 +291,6 @@ def cmd_bench(args):
     counts = [w for w in (1, 2, 4, run_config.num_workers) if w <= max(4, run_config.num_workers)]
     counts = sorted(set(counts))
     ref_col = col_dist_matmul(oracle, W, block)
-    ref_kbb = np.empty((blocksize, blocksize))
-    ref_one = col_dist_matmul(oracle, W, block, block_out=ref_kbb)
     ref_row = row_dist_matmul(oracle, omega, block)
     ref_full = oracle.matmul(W)
     rows = []
@@ -301,10 +299,6 @@ def cmd_bench(args):
             start = time.perf_counter()
             col = col_dist_matmul(oracle, W, block, pool)
             col_secs = time.perf_counter() - start
-            kbb = np.empty((blocksize, blocksize))
-            start = time.perf_counter()
-            one = col_dist_matmul(oracle, W, block, pool, block_out=kbb)
-            one_secs = time.perf_counter() - start
             start = time.perf_counter()
             row = row_dist_matmul(oracle, omega, block, pool)
             row_secs = time.perf_counter() - start
@@ -312,8 +306,6 @@ def cmd_bench(args):
             full = oracle.matmul(W, pool)
             full_secs = time.perf_counter() - start
         rows.append(("col_dist_matmul", workers, col_secs, float(np.abs(col - ref_col).max())))
-        one_diff = max(np.abs(one - ref_one).max(), np.abs(kbb - ref_kbb).max())
-        rows.append(("col_dist_matmul_block", workers, one_secs, float(one_diff)))
         rows.append(("row_dist_matmul", workers, row_secs, float(np.abs(row - ref_row).max())))
         rows.append(("matmul", workers, full_secs, float(np.abs(full - ref_full).max())))
     with open(out_dir / "bench.csv", "w") as handle:

@@ -55,6 +55,10 @@ class WorkerPool:
             self._executor = ThreadPoolExecutor(max_workers=self.num_workers)
         return self._executor
 
+    def submit(self, fn, *args):
+        """Run ``fn(*args)`` on a pool thread; returns its future."""
+        return self._ensure_executor().submit(fn, *args)
+
     def close(self):
         if self._executor is not None:
             self._executor.shutdown()
@@ -98,34 +102,22 @@ def _ordered(pool, count, task):
             fut.cancel()
 
 
-def symmetrize(tile, out=None):
-    """``(T + T^T) * 0.5`` of the square ``tile``, into ``out`` if given (not
-    ``tile`` itself): exactly symmetric, and exact wherever ``T`` is already
-    symmetric (a diagonal of the kernel variance stays that value)."""
-    out = np.add(tile.T, tile, out=out)
-    out *= 0.5
-    return out
-
-
 def check_indices(block, n):
-    """Validate a row-index block: in range, no duplicates."""
+    """Validate a row-index block: in range, no duplicates (no ``np.unique`` if sorted)."""
     block = np.asarray(block, dtype=np.intp).ravel()
     if block.size == 0:
         raise ContractError("empty index block")
-    if block.min() < 0 or block.max() >= n:
+    increasing = bool(np.all(block[1:] > block[:-1]))
+    lo, hi = (block[0], block[-1]) if increasing else (block.min(), block.max())
+    if lo < 0 or hi >= n:
         raise ContractError("block index out of range")
-    if np.unique(block).size != block.size:
+    if not increasing and np.unique(block).size != block.size:
         raise ContractError("duplicate index in block")
     return block
 
 
-def col_dist_matmul(oracle, W, block, pool=None, block_out=None):
-    """K[block, :] @ W via column tiles, summed in ascending tile order.
-
-    With ``block_out`` (a b x b array) the same pass also fills it with
-    ``symmetrize(K[block, block])``, gathering the block's columns from the
-    tiles it evaluates anyway, so a block step needs no second kernel pass.
-    """
+def col_dist_matmul(oracle, W, block, pool=None):
+    """K[block, :] @ W via column tiles, summed in ascending tile order."""
     n = oracle.n
     block = check_indices(block, n)
     W = np.asarray(W, dtype=np.float64)
@@ -133,24 +125,15 @@ def col_dist_matmul(oracle, W, block, pool=None, block_out=None):
     W2 = W[:, None] if vector else W
     if W2.shape[0] != n:
         raise ContractError("W must have n rows")
-    if block_out is not None and block_out.shape != (block.size, block.size):
-        raise ContractError("block_out must be b x b")
     tiles = tile_ranges(n)
-    gathered = None if block_out is None else np.empty_like(block_out)
 
     def task(i):
         start, stop = tiles[i]
-        tile = oracle.tile(block, np.arange(start, stop))
-        if gathered is not None:
-            hit = np.flatnonzero((block >= start) & (block < stop))
-            gathered[:, hit] = tile[:, block[hit] - start]
-        return tile @ W2[start:stop]
+        return oracle.tile(block, np.arange(start, stop)) @ W2[start:stop]
 
     out = np.zeros((block.size, W2.shape[1]))
     for part in _ordered(pool, len(tiles), task):
         out += part
-    if block_out is not None:
-        symmetrize(gathered, out=block_out)
     return out[:, 0] if vector else out
 
 

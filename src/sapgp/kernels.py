@@ -96,12 +96,12 @@ def _augment(spec, X):
     return np.hstack([z, norms, np.ones_like(norms)])
 
 
-def _values(spec, a, b):
-    """k between augmented points: ``a @ [-2z, 1, |z|^2].T``, the right side formed
-    from ``b``, is the squared distance matrix in one GEMM, turned into k in place."""
+def _values(spec, a, b, out=None):
+    """k between augmented points: ``a @ [-2z, 1, |z|^2].T`` (right side formed from
+    ``b``) is the squared distance matrix in one GEMM into ``out``, turned into k in place."""
     rhs = b * -2.0
     rhs[:, -2:] = b[:, :-3:-1]  # [1, |z|^2]: the last two columns of b, reversed
-    return _family_values(spec.family, spec.variance, a @ rhs.T)
+    return _family_values(spec.family, spec.variance, np.matmul(a, rhs.T, out=out))
 
 
 def kernel_eval(spec, x, y):
@@ -145,22 +145,32 @@ class KernelOracle:
     def n(self):
         return self.X.shape[0]
 
-    def tile(self, rows, cols):
-        """Dense K[rows, cols] from one GEMM; equal row/col indices (sought among
-        rows within the span of ``cols``) give exactly the kernel variance."""
+    def tile(self, rows, cols, out=None):
+        """Dense K[rows, cols] by one GEMM, into ``out`` if given; an index outside [0, n)
+        raises. Equal row/col indices give the variance exactly: on the diagonal when
+        ``rows is cols`` strictly increases (a sorted ``block``), else among rows in cols' span."""
         rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-        out = _values(self.spec, self._aug[rows], self._aug[cols])
-        if cols.size:
-            hit = np.flatnonzero((rows >= cols.min()) & (rows <= cols.max()))
+        lo, hi = (cols.min(), cols.max()) if cols.size else (0, -1)
+        if lo < 0 or hi >= self.n or rows.size and (rows.min() < 0 or rows.max() >= self.n):
+            raise ContractError("tile index out of range")
+        out = _values(self.spec, self._aug[rows], self._aug[cols], out)
+        if rows is cols and np.all(rows[1:] > rows[:-1]):
+            np.fill_diagonal(out, self.spec.variance)
+        else:
+            hit = np.flatnonzero((rows >= lo) & (rows <= hi))
             i, j = np.nonzero(rows[hit, None] == cols[None, :])
             out[hit[i], j] = self.spec.variance
         return out
 
-    def block(self, block):
-        """Dense ``dist.symmetrize(K[block, block])``: symmetric to the last bit,
-        its diagonal exactly the kernel variance."""
+    def block(self, block, out=None):
+        """Dense K[block, block] as ``(T + T^T) * 0.5``, into ``out`` (b x b) if
+        given: symmetric to the last bit, its diagonal exactly the kernel
+        variance; one GEMM if sorted."""
         block = dist.check_indices(block, self.n)
-        return dist.symmetrize(self.tile(block, block))
+        tile = self.tile(block, block, out)
+        np.add(tile, tile.T, out=tile)  # ufuncs read an overlapping input as a copy
+        tile *= 0.5
+        return tile
 
     def dense(self):
         """Full K for test oracles; refuses above DENSE_LIMIT."""
@@ -207,6 +217,8 @@ class KernelOracle:
     def cross_matmul(self, Xstar, W):
         """k(Xstar, X) @ W, tiled over training points."""
         W = np.asarray(W, dtype=np.float64)
+        if W.shape[:1] != (self.n,):
+            raise ContractError("W must have n rows")
         zs = _augment(self.spec, Xstar)
         out = np.zeros(zs.shape[:1] + W.shape[1:])
         for start, stop in dist.tile_ranges(self.n):
@@ -239,9 +251,9 @@ class DenseOracle:
             return self.K[rows, cols[0]:cols[-1] + 1]
         return self.K[np.ix_(rows, cols)]
 
-    def block(self, block):
+    def block(self, block, out=None):
         block = dist.check_indices(block, self.n)
-        return self.K[np.ix_(block, block)]
+        return np.positive(self.K[np.ix_(block, block)], out=out)  # an exact copy into out
 
     def dense(self):
         return self.K

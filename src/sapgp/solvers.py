@@ -4,7 +4,8 @@ All solvers consume an oracle (``kernels.KernelOracle`` or a dense test
 oracle), touch the kernel matrix only through block products, and append to a
 ConvergenceTrace. Budgets are expressed in passes over the kernel matrix;
 one block iteration costs blocksize/n of a pass, one full matvec costs one.
-The block solvers (sap, adasap, adasap_i, sdd) share one loop, ``_drive``.
+The block solvers (sap, adasap, adasap_i, sdd) share one loop, ``_drive``,
+which prepares each step's block one step ahead on the worker pool.
 """
 
 from __future__ import annotations
@@ -175,20 +176,14 @@ class TailAverager:
 
 @dataclass
 class SolverState:
-    """Iterate triple; V and Z alias W whenever acceleration is off.
-
-    An accelerated state also carries the scratch array of the in-place
-    Nesterov update, and ``kbb``, the b x b buffer its steps fill with
-    K[B,B]. Reusing both keeps a step from allocating (and page-faulting)
-    arrays of that size every iteration.
-    """
+    """Iterate triple; V and Z alias W whenever acceleration is off. An
+    accelerated state also carries the in-place Nesterov update's scratch."""
 
     W: np.ndarray
     V: np.ndarray
     Z: np.ndarray
     iteration: int = 0
     scratch: np.ndarray | None = None
-    kbb: np.ndarray | None = None
 
     @classmethod
     def zeros(cls, n, m, accelerated=False):
@@ -260,16 +255,21 @@ def _due(every, t, total):
     return t == total - 1 or every > 0 and (t + 1) % every == 0
 
 
-def _drive(oracle, Y2, vector, config, blocksize, step, current, on_iterate,
+def _drive(oracle, Y2, vector, config, blocksize, prepare, step, current, on_iterate,
            total=None, tail_average=False, pool=None):
     """The block-iteration loop shared by sap, adasap, adasap_i and sdd.
 
-    ``step(t)`` runs iteration t and returns its stepsize; ``current()``
-    returns the iterate. A non-finite iterate after any step (recorded as an
-    infinite residual) or a residual above DIVERGENCE_FACTOR stops the run as
-    diverged. With ``tail_average`` residuals and the tol test use the iterate
-    that would be returned: the running tail average once its window opens.
-    Residual checks run their full product on ``pool``.
+    ``prepare(t)`` returns what iteration t's block alone decides (never
+    using the iterate or the pool); calls run one at a time, in order.
+    ``step(t, prepared)`` runs iteration t and returns its stepsize;
+    ``current()`` returns the iterate. On a pool of more than one worker,
+    ``prepare(t+1)`` runs on the pool while step t runs; a stop discards it,
+    and its exception is raised where step t+1 would run. A non-finite
+    iterate after any step (recorded as an infinite residual) or a residual
+    above DIVERGENCE_FACTOR stops the run as diverged. With ``tail_average``
+    residuals and the tol test use the iterate that would be returned: the
+    running tail average once its window opens. Residual checks run their
+    full product on ``pool``.
     """
     n = oracle.n
     if total is None:
@@ -285,26 +285,33 @@ def _drive(oracle, Y2, vector, config, blocksize, step, current, on_iterate,
             return averager.average()
         return current()
 
-    for t in range(total):
-        stepsize = step(t)
-        iters_done = t + 1
-        W = current()
-        if averager is not None:
-            averager.add(iters_done, W)
-        if on_iterate is not None:
-            on_iterate(iters_done, W)
-        relres = math.nan
-        if not np.isfinite(W).all():
-            relres = math.inf
-        elif _due(config.residual_every, t, total):
-            relres = _relative_residual(oracle, reported(), Y2, ynorm, pool)
-        passes = iters_done * blocksize / n
-        trace.record(iters_done, passes, relres, stepsize)
-        if relres > DIVERGENCE_FACTOR:
-            diverged = True
-            break
-        if config.tol is not None and relres <= config.tol:
-            break
+    ahead = pool is not None and pool.num_workers > 1
+    pending = None
+    try:
+        for t in range(total):
+            prepared = prepare(t) if pending is None else pending.result()
+            pending = pool.submit(prepare, t + 1) if ahead and t + 1 < total else None
+            stepsize = step(t, prepared)
+            iters_done = t + 1
+            W = current()
+            if averager is not None:
+                averager.add(iters_done, W)
+            if on_iterate is not None:
+                on_iterate(iters_done, W)
+            relres = math.nan
+            if not np.isfinite(W).all():
+                relres = math.inf
+            elif _due(config.residual_every, t, total):
+                relres = _relative_residual(oracle, reported(), Y2, ynorm, pool)
+            trace.record(iters_done, iters_done * blocksize / n, relres, stepsize)
+            if relres > DIVERGENCE_FACTOR:
+                diverged = True
+                break
+            if config.tol is not None and relres <= config.tol:
+                break
+    finally:
+        if pending is not None and not pending.cancel():
+            pending.exception()  # wait for the unused look-ahead and drop its outcome
     W_out = reported()
     passes = iters_done * blocksize / n
     return SolveResult(W_out[:, 0] if vector else W_out, trace, diverged, iters_done, passes)
@@ -314,24 +321,29 @@ def _drive(oracle, Y2, vector, config, blocksize, step, current, on_iterate,
 # exact sketch-and-project
 
 
-def sap_step(oracle, state, block, Y, pool=None):
-    """One exact projection step: zeroes the block rows of the residual.
-
-    Solves (K[B,B] + lam I) d = (K[B,:] + lam I[B,:]) W - Y[B] with one dense
-    Cholesky of size b and subtracts d from the block rows of W in place.
-    K[B,B] comes from the same kernel pass as K[B,:] W.
-    """
-    lam = oracle.lam
-    W = state.W
-    H = np.empty((len(block), len(block)))
-    grad = col_dist_matmul(oracle, W, block, pool, block_out=H) + lam * W[block] - Y[block]
-    H[np.diag_indices_from(H)] += lam
+def sap_factor(oracle, block):
+    """Cholesky factor (``scipy.linalg.cho_factor``, lower) of K[B,B] + lam I."""
+    H = oracle.block(block)
+    H[np.diag_indices_from(H)] += oracle.lam
     try:
-        chol = scipy.linalg.cho_factor(H, lower=True)
+        return scipy.linalg.cho_factor(H, lower=True)
     except scipy.linalg.LinAlgError as exc:
         raise NumericalError(
             "block system factorization failed; lam may be too small for float64"
         ) from exc
+
+
+def sap_step(oracle, state, block, Y, pool=None, chol=None):
+    """One exact projection step: zeroes the block rows of the residual.
+
+    Solves (K[B,B] + lam I) d = (K[B,:] + lam I[B,:]) W - Y[B] and subtracts
+    d from the block rows of W in place. ``chol`` is ``sap_factor(oracle,
+    block)``, computed here when not given.
+    """
+    if chol is None:
+        chol = sap_factor(oracle, block)
+    W = state.W
+    grad = col_dist_matmul(oracle, W, block, pool) + oracle.lam * W[block] - Y[block]
     W[block] -= scipy.linalg.cho_solve(chol, grad)
     state.iteration += 1
     return state
@@ -359,7 +371,7 @@ def sap_solve(oracle, Y, config, sampler="uniform", dpp_model=None, pool=None, o
     state = SolverState.zeros(n, Y2.shape[1], accelerated=False)
     drawn = []
 
-    def step(t):
+    def prepare(t):
         if sampler == "uniform":
             block = _uniform_block(config.seed, t, n, blocksize)
         else:
@@ -368,58 +380,58 @@ def sap_solve(oracle, Y, config, sampler="uniform", dpp_model=None, pool=None, o
                 ahead = range(t, min(t + SAMPLE_CHUNK, total))
                 drawn[:] = dpp_model.sample_batch(substream(config.seed, "block", s) for s in ahead)
             block = drawn[t % SAMPLE_CHUNK]
-        sap_step(oracle, state, block, Y2, pool)
+        return block, sap_factor(oracle, block)
+
+    def step(t, prepared):
+        sap_step(oracle, state, prepared[0], Y2, pool, prepared[1])
         return 1.0
 
-    return _drive(oracle, Y2, vector, config, blocksize, step, lambda: state.W, on_iterate,
-                  total=total, tail_average=config.tail_average, pool=pool)
+    return _drive(oracle, Y2, vector, config, blocksize, prepare, step, lambda: state.W,
+                  on_iterate, total=total, tail_average=config.tail_average, pool=pool)
 
 
 # ---------------------------------------------------------------------------
 # approximate accelerated sketch-and-project
 
 
-def adasap_step(oracle, state, Y, config, accel, pool=None, identity_precond=False):
-    """One approximately preconditioned accelerated step.
+def adasap_prepare(oracle, config, t, identity_precond=False, kbb=None):
+    """What iteration t's block alone decides: (block, factor, rho, stepsize).
 
-    Phases: uniform block; block-row product at the acceleration midpoint
-    (or at W when ``config.grad_eval_point == "w"``), whose kernel pass also
-    yields K[B,B]; Gaussian sketch K[B,B] @ Omega; Nystrom factor with damping
-    S_r + lam; automatic stepsize by randomized powering with K[B,B];
-    Nesterov update of (W, V, Z) in place. ``state`` must be accelerated
-    (``SolverState.zeros(..., accelerated=True)``).
-
-    Returns (state, stepsize, block).
+    Phases: uniform block; K[B,B] (into the b x b buffer ``kbb`` if given);
+    sketch K[B,B] @ Omega; Nystrom factor with damping S_r + lam; powering.
     """
-    if state.scratch is None:
-        raise ContractError("adasap needs an accelerated state with a scratch array")
-    n = oracle.n
-    lam = oracle.lam
-    t = state.iteration
+    n, lam = oracle.n, oracle.lam
     blocksize = resolve_blocksize(config, n)
     block = _uniform_block(config.seed, t, n, blocksize)
-    point = state.Z if config.grad_eval_point == "z" else state.W
-    if state.kbb is None or state.kbb.shape != (blocksize, blocksize):
-        state.kbb = np.empty((blocksize, blocksize))
-    Kbb = state.kbb
-    grad = (col_dist_matmul(oracle, point, block, pool, block_out=Kbb)
-            + lam * point[block] - Y[block])
-
+    Kbb = oracle.block(block, kbb)
     if identity_precond:
-        factor = NystromFactor.empty(blocksize)
-        rho = 1.0
+        factor, rho = NystromFactor.empty(blocksize), 1.0
     else:
         rank = resolve_rank(config, blocksize)
         omega = substream(config.seed, "omega", t).standard_normal((blocksize, rank))
         factor = rand_nystrom_retry(Kbb @ omega, omega, rank)
         rho = float(factor.S[-1]) + lam
+    eta = rand_power_stepsize(lambda v: Kbb @ v + lam * v, factor, rho, iters=10,
+                              seed=substream(config.seed, "power", t))
+    return block, factor, rho, eta
 
-    def h_apply(v):
-        return Kbb @ v + lam * v
 
-    eta = rand_power_stepsize(
-        h_apply, factor, rho, iters=10, seed=substream(config.seed, "power", t)
-    )
+def adasap_step(oracle, state, Y, config, accel, pool=None, identity_precond=False,
+                prepared=None):
+    """One approximately preconditioned accelerated step: the block-row
+    product at the acceleration midpoint (or at W when ``config.grad_eval_point
+    == "w"``), then the Nesterov update of the accelerated ``state`` in place.
+    ``prepared`` is ``adasap_prepare(oracle, config, state.iteration,
+    identity_precond)``, computed here when not given. Returns (state,
+    stepsize, block).
+    """
+    if state.scratch is None:
+        raise ContractError("adasap needs an accelerated state with a scratch array")
+    if prepared is None:
+        prepared = adasap_prepare(oracle, config, state.iteration, identity_precond)
+    block, factor, rho, eta = prepared
+    point = state.Z if config.grad_eval_point == "z" else state.W
+    grad = col_dist_matmul(oracle, point, block, pool) + oracle.lam * point[block] - Y[block]
     nesterov_update(state.W, state.V, state.Z, block, apply_inv(factor, rho, grad), eta,
                     accel.beta, accel.gamma, accel.alpha, state.scratch)
     state.iteration += 1
@@ -440,13 +452,14 @@ def adasap_solve(oracle, Y, config, identity_precond=False, pool=None, on_iterat
     if accel is None:
         accel = resolve_accel(config, n, blocksize)
     state = SolverState.zeros(n, Y2.shape[1], accelerated=True)
+    kbb = np.empty((blocksize, blocksize))  # preparations never overlap: one buffer serves all
 
-    def step(t):
-        _, eta, _ = adasap_step(oracle, state, Y2, config, accel, pool, identity_precond)
-        return eta
+    def step(t, prepared):
+        return adasap_step(oracle, state, Y2, config, accel, pool, identity_precond, prepared)[1]
 
-    return _drive(oracle, Y2, vector, config, blocksize, step, lambda: state.W, on_iterate,
-                  tail_average=config.tail_average, pool=pool)
+    return _drive(oracle, Y2, vector, config, blocksize,
+                  lambda t: adasap_prepare(oracle, config, t, identity_precond, kbb), step,
+                  lambda: state.W, on_iterate, tail_average=config.tail_average, pool=pool)
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +485,7 @@ def sdd_solve(oracle, Y, config, pool=None, on_iterate=None):
     velocity = np.zeros_like(Y2)
     estimate = np.zeros_like(Y2)
 
-    def step(t):
-        block = _uniform_block(config.seed, t, n, blocksize)
+    def step(t, block):
         with np.errstate(over="ignore", invalid="ignore"):
             grad = col_dist_matmul(oracle, w, block, pool) + lam * w[block] - Y2[block]
             velocity[...] *= SDD_MOMENTUM
@@ -482,8 +494,9 @@ def sdd_solve(oracle, Y, config, pool=None, on_iterate=None):
             estimate[...] += avg_weight * (w - estimate)
         return eta
 
-    return _drive(oracle, Y2, vector, config, blocksize, step, lambda: estimate, on_iterate,
-                  total=total, pool=pool)
+    return _drive(oracle, Y2, vector, config, blocksize,
+                  lambda t: _uniform_block(config.seed, t, n, blocksize), step,
+                  lambda: estimate, on_iterate, total=total, pool=pool)
 
 
 # ---------------------------------------------------------------------------

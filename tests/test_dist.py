@@ -1,10 +1,8 @@
-import sys
-
 import numpy as np
 import pytest
 
 from sapgp import ContractError, KernelOracle, KernelSpec, WorkerPool, col_dist_matmul, row_dist_matmul
-from sapgp.dist import partition, tile_ranges
+from sapgp.dist import check_indices, partition, tile_ranges
 from sapgp.errors import WorkerError
 
 
@@ -106,37 +104,28 @@ def test_index_validation():
         col_dist_matmul(oracle, np.zeros((20, 1)), np.array([25]))
 
 
-def test_block_out_is_symmetrized_from_the_column_tiles():
-    class Asymmetric:  # K[i, j] = i + 2 j: no symmetry to inherit
-        n = 300
+def test_check_indices_proves_a_sorted_block_unique_without_np_unique(monkeypatch):
+    def no_unique(*args, **kwargs):
+        raise AssertionError("np.unique called on a strictly increasing block")
 
-        def tile(self, rows, cols):
-            return rows[:, None] + 2.0 * cols[None, :]
-
-    B = np.array([250, 3, 17, 299, 0])  # unsorted, in both column tiles
-    H = np.empty((5, 5))
-    out = col_dist_matmul(Asymmetric(), np.ones(300), B, block_out=H)
-    T = B[:, None] + 2.0 * B[None, :]
-    assert np.array_equal(H, (T + T.T) * 0.5)
-    assert np.array_equal(out, col_dist_matmul(Asymmetric(), np.ones(300), B))
+    monkeypatch.setattr(np, "unique", no_unique)
+    for block in ([0, 3, 17, 250, 299], [7], list(range(300))):
+        assert np.array_equal(check_indices(np.array(block), 300), block)
 
 
-def test_block_out_stress_more_workers_than_cores():
-    # workers write disjoint columns of one shared block_out; a lost or
-    # misplaced write shows as a difference from the serial pass
-    oracle, rng = make_oracle(2100)
-    B = rng.permutation(2100)[:700]
-    W = rng.standard_normal((2100, 2))
-    ref_bb = np.empty((700, 700))
-    ref = col_dist_matmul(oracle, W, B, block_out=ref_bb)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with WorkerPool(8) as pool:
-            for _ in range(3):
-                got_bb = np.full((700, 700), np.nan)
-                got = col_dist_matmul(oracle, W, B, pool, block_out=got_bb)
-                assert np.array_equal(got, ref)
-                assert np.array_equal(got_bb, ref_bb)
-    finally:
-        sys.setswitchinterval(interval)
+@pytest.mark.parametrize("block, message", [
+    ([250, 3, 17, 299, 0], None),       # unsorted, valid: np.unique proves it
+    ([3, 3, 9], "duplicate"),           # sorted but not strictly increasing
+    ([9, 3, 9], "duplicate"),
+    ([0, 3, 300], "out of range"),      # strictly increasing, last past the end
+    ([-1, 3, 9], "out of range"),       # strictly increasing, first negative
+    ([300, 3, 3], "out of range"),      # range is checked before duplicates
+    ([5, -2, 5], "out of range"),
+    ([], "empty"),
+])
+def test_check_indices_errors(block, message):
+    if message is None:
+        assert np.array_equal(check_indices(block, 300), block)
+    else:
+        with pytest.raises(ContractError, match=message):
+            check_indices(block, 300)

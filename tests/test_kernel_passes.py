@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sapgp import KernelOracle, KernelSpec, RunConfig, WorkerPool, col_dist_matmul, sap_solve
-from sapgp.dist import TILE
+from sapgp.dist import TILE, tile_ranges
 from sapgp.kernels import FAMILIES, DenseOracle
 from sapgp.rng import substream
 
@@ -39,22 +39,26 @@ def block_problems(draw):
 
 @PROPERTY
 @given(block_problems())
-def test_one_pass_product_and_block(problem):
+def test_block_product_and_block_bitwise_across_workers(problem):
     oracle, block, W = problem
     b = block.size
-    plain = col_dist_matmul(oracle, W, block)
-    Kbb = np.empty((b, b))
-    product = col_dist_matmul(oracle, W, block, block_out=Kbb)
-    assert np.array_equal(product, plain)
+    product = col_dist_matmul(oracle, W, block)
+    Kbb = oracle.block(block)
+    buffer = np.full((b, b), np.nan)
+    assert oracle.block(block, buffer) is buffer and np.array_equal(buffer, Kbb)
     assert np.array_equal(Kbb, Kbb.T)
     assert np.all(np.diag(Kbb) == VARIANCE)
-    assert np.abs(Kbb - oracle.block(block)).max() <= 1e-14
+    # K[B,B] gathered from the product's column tiles agrees to rounding
+    gathered = np.hstack([oracle.tile(block, np.arange(start, stop))
+                          for start, stop in tile_ranges(oracle.n)])[:, block]
+    assert np.abs(Kbb - gathered).max() <= 1e-14
+    # a sorted block's diagonal fast path gives the generic equal-index mask's bits
+    ordered = np.sort(block)
+    generic = oracle.tile(ordered, ordered.copy())
+    assert np.array_equal(oracle.block(ordered), (generic.T + generic) * 0.5)
     for workers in (1, 2, 4):
-        pooled_bb = np.empty((b, b))
         with WorkerPool(workers) as pool:
-            pooled = col_dist_matmul(oracle, W, block, pool, block_out=pooled_bb)
-        assert np.array_equal(pooled, product)
-        assert np.array_equal(pooled_bb, Kbb)
+            assert np.array_equal(col_dist_matmul(oracle, W, block, pool), product)
 
 
 @PROPERTY
@@ -73,7 +77,7 @@ def test_symmetric_pair_matmul(family, n, seed, cols):
 
 
 def reference_sap(oracle, Y, blocksize, iters, seed):
-    """Sketch-and-project with K[B,B] from ``oracle.block``: a second pass."""
+    """Sketch-and-project written out: K[B,B] from ``oracle.block``, no look-ahead."""
     n = oracle.n
     W = np.zeros_like(Y)
     for t in range(iters):

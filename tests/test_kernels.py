@@ -289,3 +289,54 @@ def test_dense_oracle_tile_range_past_the_end_is_an_index_error():
     oracle = DenseOracle(np.eye(6), 0.1)
     with pytest.raises(IndexError):
         oracle.tile(np.arange(2), np.array([5, 6]))
+
+
+def test_cross_matmul_rejects_a_weight_array_without_n_rows():
+    rng = np.random.default_rng(15)
+    n = 300
+    X = rng.standard_normal((n, 2))
+    oracle = KernelOracle(rbf_spec(), X, 0.1)
+    for W in (np.ones(n + 5), np.ones((n - 1, 2)), np.float64(1.0)):
+        with pytest.raises(ContractError, match="W must have n rows"):
+            oracle.cross_matmul(X[:2], W)
+
+
+def test_tile_rejects_out_of_range_indices():
+    # a negative index used to reach the point from the end, while the
+    # equal-index mask compared raw values: tile([-17], [283]) missed the variance
+    n, k = 300, 17
+    X = np.random.default_rng(0).standard_normal((n, 2)) * 10.0
+    oracle = KernelOracle(KernelSpec("matern32", np.ones(2)), X, 0.1)
+    assert oracle.tile([n - k], [n - k])[0, 0] == 1.0
+    for rows, cols in (([-k], [n - k]), ([n], [0]), ([0], [n]), ([0, 1], [2, -1]), ([], [n]),
+                       ([n], [])):
+        with pytest.raises(ContractError, match="out of range"):
+            oracle.tile(rows, cols)
+    assert oracle.tile([], [0, 1]).shape == (0, 2) and oracle.tile([3], []).shape == (1, 0)
+
+
+def test_tile_of_an_index_array_with_itself():
+    # the same array as rows and cols takes the diagonal fast path only when
+    # strictly increasing; repeated indices still give the variance at every
+    # equal pair (point 283 here is one whose GEMM self-distance is not 0)
+    n = 300
+    X = np.random.default_rng(0).standard_normal((n, 2)) * 10.0
+    oracle = KernelOracle(KernelSpec("matern32", np.ones(2)), X, 0.1)
+    ordered = np.sort(np.random.default_rng(16).permutation(n)[:40])
+    assert np.array_equal(oracle.tile(ordered, ordered), oracle.tile(ordered, ordered.copy()))
+    for rows in (np.array([5, 283, 283]), np.array([283, 5, 283])):
+        tile = oracle.tile(rows, rows)
+        equal = rows[:, None] == rows[None, :]
+        assert np.all(tile[equal] == 1.0) and np.all(tile[~equal] < 1.0)
+
+
+def test_dense_oracle_block_is_the_gather_and_fills_a_buffer():
+    rng = np.random.default_rng(17)
+    G = rng.standard_normal((40, 40))
+    oracle = DenseOracle(G @ G.T, 0.1)
+    for B in (np.array([3, 9, 10, 31]), np.array([31, 3, 10, 9])):
+        gathered = oracle.K[np.ix_(B, B)]
+        # the column-tile gather made symmetric gives these bits too
+        assert np.array_equal(oracle.block(B), (gathered.T + gathered) * 0.5)
+        buffer = np.full((4, 4), np.nan)
+        assert oracle.block(B, buffer) is buffer and np.array_equal(buffer, gathered)

@@ -1,3 +1,4 @@
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,8 +10,10 @@ from sapgp import (
     DenseOracle,
     KernelOracle,
     KernelSpec,
+    NumericalError,
     NystromFactor,
     RunConfig,
+    WorkerPool,
     adasap_solve,
     adasap_step,
     nesterov_update,
@@ -355,21 +358,6 @@ def test_adasap_step_rejects_an_aliased_state():
         adasap_step(oracle, aliased, y, cfg, accel)
 
 
-def test_adasap_step_reuses_or_replaces_its_block_buffer():
-    oracle, rng = rbf_oracle(40, 0.3, seed=7)
-    y = rng.standard_normal((40, 2))
-    cfg = RunConfig(lam=0.3, solver_id="adasap", blocksize=8, nystrom_rank=4, max_iters=1)
-    accel = resolve_accel(cfg, 40, 8)
-    fresh = SolverState.zeros(40, 2, accelerated=True)
-    adasap_step(oracle, fresh, y, cfg, accel)
-    for stale in (np.full((8, 8), np.nan), np.full((5, 5), np.nan)):
-        state = SolverState.zeros(40, 2, accelerated=True)
-        state.kbb = stale
-        adasap_step(oracle, state, y, cfg, accel)
-        assert state.kbb.shape == (8, 8)
-        assert np.array_equal(state.W, fresh.W) and np.array_equal(state.Z, fresh.Z)
-
-
 def test_adasap_identity_equals_plain_block_descent():
     oracle, rng = rbf_oracle(40, 0.3, seed=5)
     y = rng.standard_normal(40)
@@ -547,17 +535,114 @@ def test_trace_csv_schema(tmp_path):
 # edge sizes: n near the tile width, b = n, rank = b
 
 
-@pytest.mark.parametrize("solver_id", ["sap", "adasap"])
+def solve_on(oracle, Y, config, workers, on_iterate=None):
+    """``solve`` with no pool (``workers`` None) or a pool of that many workers."""
+    if workers is None:
+        return solve(oracle, Y, config, on_iterate=on_iterate)
+    with WorkerPool(workers) as pool:
+        return solve(oracle, Y, config, pool=pool, on_iterate=on_iterate)
+
+
+def assert_bitwise_for_every_pool(oracle, Y, config):
+    """W, every trace residual and stepsize equal with no pool and with a
+    pool of 1, 2 or 4 workers (the look-ahead runs on 2 and 4); returns the
+    run without a pool."""
+    serial = solve_on(oracle, Y, config, None)
+    for workers in (1, 2, 4):
+        pooled = solve_on(oracle, Y, config, workers)
+        assert np.array_equal(pooled.W, serial.W)
+        assert np.array_equal(pooled.trace.residuals(), serial.trace.residuals())
+        assert [r.stepsize for r in pooled.trace.records] == [
+            r.stepsize for r in serial.trace.records]
+    return serial
+
+
+@pytest.mark.parametrize("solver_id", ["sap", "adasap", "adasap_i", "sdd"])
 @pytest.mark.parametrize("n", [TILE - 1, TILE, TILE + 1, 2 * TILE + 1])
 def test_edge_sizes_full_block_bitwise_across_workers(solver_id, n):
     oracle, rng = rbf_oracle(n, 1e-2, seed=n)
     Y = rng.standard_normal((n, 2))
-    kw = dict(lam=1e-2, solver_id=solver_id, blocksize=n, nystrom_rank=n, max_iters=3,
-              residual_every=1, seed=5)
-    serial = solve(oracle, Y, RunConfig(num_workers=1, **kw))
-    pooled = solve(oracle, Y, RunConfig(num_workers=2, **kw))
+    config = RunConfig(lam=1e-2, solver_id=solver_id, blocksize=n, nystrom_rank=n,
+                       max_iters=3, residual_every=1, seed=5, stepsize_scale=1.0)
+    serial = assert_bitwise_for_every_pool(oracle, Y, config)
     assert not serial.diverged and serial.iterations == 3 and serial.passes == 3.0
-    assert np.array_equal(pooled.W, serial.W)
-    assert np.array_equal(pooled.trace.residuals(), serial.trace.residuals())
     res = oracle.matmul(serial.W) + oracle.lam * serial.W - Y
     assert serial.trace.final_residual() == float(np.linalg.norm(res) / np.linalg.norm(Y))
+
+
+# ---------------------------------------------------------------------------
+# look-ahead block preparation
+
+
+@pytest.mark.parametrize("solver_id", ["sap", "adasap", "adasap_i", "sdd"])
+def test_look_ahead_bitwise_for_every_pool(solver_id):
+    # distinct blocks, sketches and power starts at every step
+    oracle, rng = rbf_oracle(600, 1e-2, seed=3)
+    config = RunConfig(lam=1e-2, solver_id=solver_id, blocksize=60, nystrom_rank=30,
+                       max_iters=12, residual_every=1, seed=5, stepsize_scale=1.0)
+    assert assert_bitwise_for_every_pool(oracle, rng.standard_normal((600, 2)),
+                                         config).iterations == 12
+
+
+class SlowBlocks:
+    """A kernel oracle whose ``block`` sleeps, and raises NumericalError on
+    call number ``fail_at`` (0-based); each sap step's preparation calls it once."""
+
+    def __init__(self, inner, delay=0.0, fail_at=None):
+        self.inner, self.delay, self.fail_at = inner, delay, fail_at
+        self.n, self.lam = inner.n, inner.lam
+        self.tile, self.matmul = inner.tile, inner.matmul
+        self.calls = 0
+
+    def block(self, block):
+        call, self.calls = self.calls, self.calls + 1
+        time.sleep(self.delay)
+        if call == self.fail_at:
+            raise NumericalError(f"planted failure in block call {call}")
+        return self.inner.block(block)
+
+
+class RecordingPool(WorkerPool):
+    def __init__(self, num_workers):
+        super().__init__(num_workers)
+        self.futures = []
+
+    def submit(self, fn, *args):
+        future = super().submit(fn, *args)
+        self.futures.append(future)
+        return future
+
+
+def test_tol_stop_leaves_no_running_look_ahead():
+    inner, rng = rbf_oracle(300, 1e-2)
+    oracle = SlowBlocks(inner, delay=0.2)
+    config = RunConfig(lam=1e-2, solver_id="sap", blocksize=30, max_iters=50, tol=1e9,
+                       residual_every=3)
+    pool = RecordingPool(2)
+    result = solve(oracle, rng.standard_normal(300), config, pool=pool)
+    assert result.iterations == 3
+    assert len(pool.futures) == 3  # prepare(1), prepare(2) and the unused prepare(3)
+    assert all(future.done() for future in pool.futures)
+    pool.close()
+    assert pool._executor is None
+
+
+@pytest.mark.parametrize("workers", [None, 1, 2, 4])
+def test_failed_preparation_raises_at_its_own_step(workers):
+    inner, rng = rbf_oracle(300, 1e-2)
+    y = rng.standard_normal(300)
+    fail_at = 4
+    seen = []
+    config = RunConfig(lam=1e-2, solver_id="sap", blocksize=30, max_iters=20,
+                       residual_every=0)
+    oracle = SlowBlocks(inner, fail_at=fail_at)
+    with pytest.raises(NumericalError, match="planted failure in block call 4"):
+        solve_on(oracle, y, config, workers, on_iterate=lambda i, W: seen.append(i))
+    assert seen == [1, 2, 3, 4]  # steps 0..3 ran, step 4 did not
+    # a tol stop at step 3 discards the failing prepare(4) without raising
+    stopping = RunConfig(lam=1e-2, solver_id="sap", blocksize=30, max_iters=20, tol=1e9,
+                         residual_every=fail_at)
+    oracle = SlowBlocks(inner, fail_at=fail_at)
+    result = solve_on(oracle, y, stopping, workers)
+    assert result.iterations == fail_at
+    assert oracle.calls == (fail_at + 1 if workers and workers > 1 else fail_at)
