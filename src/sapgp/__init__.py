@@ -41,7 +41,6 @@ from .gp import (
     RandomFeaturePrior,
     mean_nll,
     pathwise_sample,
-    posterior_mean,
     rmse,
 )
 from .kernels import DenseOracle, KernelOracle, KernelSpec, kernel_eval
@@ -62,7 +61,6 @@ from .solvers import (
 from .theory import (
     SpectralBasis,
     SyntheticSpectrumProblem,
-    effective_rank_check,
     subspace_error,
     verify_lemma2,
     verify_linear_rate,

@@ -172,6 +172,9 @@ def cmd_infer(args):
     values = section_numbers(
         "infer", section, {"num_samples": (64, True), "num_features": (2048, True)}
     )
+    for key, bound in (("num_samples", 0), ("num_features", 1)):
+        if values[key] < bound:
+            raise ConfigError(f"infer.{key} must be >= {bound}, got {values[key]!r}")
     num_samples = values["num_samples"]
     num_features = values["num_features"]
     out_dir = Path(args.out)

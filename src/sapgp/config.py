@@ -16,6 +16,13 @@ SAMPLERS = ("uniform", "kdpp")
 _INT_FIELDS = ("blocksize", "nystrom_rank", "max_iters", "seed", "num_workers", "residual_every")
 _REAL_FIELDS = ("lam", "max_passes", "mu", "nu", "stepsize_scale", "tol")
 _OPTIONAL = ("blocksize", "nystrom_rank", "max_passes", "max_iters", "tol")
+# {field: (lower bound, bound allowed)}; stepsize_scale = 0 freezes a solver
+_LOWER_BOUNDS = {
+    "lam": (0.0, False), "max_passes": (0.0, False), "max_iters": (1, True),
+    "blocksize": (1, True), "nystrom_rank": (0, True), "seed": (0, True),
+    "num_workers": (1, True), "residual_every": (0, True), "tol": (0.0, True),
+    "stepsize_scale": (0.0, True),
+}
 
 
 def _number(name, value, integral):
@@ -69,30 +76,25 @@ class RunConfig:
             if value is None and name in _OPTIONAL or value == "default" and name in ("mu", "nu"):
                 continue
             setattr(self, name, _number(name, value, integral=name in _INT_FIELDS))
-        if not self.lam > 0.0:
-            raise ConfigError("lam must be positive")
+        for name, (bound, allowed) in _LOWER_BOUNDS.items():
+            value = getattr(self, name)
+            if value is not None and not (value >= bound if allowed else value > bound):
+                relation = ">=" if allowed else ">"
+                raise ConfigError(f"{name} must be {relation} {bound}, got {value!r}")
+        if not isinstance(self.tail_average, bool):
+            raise ConfigError(f"tail_average must be true or false, got {self.tail_average!r}")
         if self.solver_id not in SOLVERS:
             raise ConfigError(f"solver_id must be one of {SOLVERS}")
         if self.sampler not in SAMPLERS:
             raise ConfigError(f"sampler must be one of {SAMPLERS}")
         if self.grad_eval_point not in ("z", "w"):
             raise ConfigError("grad_eval_point must be 'z' or 'w'")
-        if self.seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
-        if self.num_workers < 1:
-            raise ConfigError("num_workers must be >= 1")
         if self.max_passes is None and self.max_iters is None:
             raise ConfigError("need max_passes or max_iters")
         for name in ("mu", "nu"):
             value = getattr(self, name)
             if value != "default" and not value > 0.0:
                 raise ConfigError(f"{name} must be positive or 'default'")
-        if self.blocksize is not None and self.blocksize < 1:
-            raise ConfigError("blocksize must be >= 1")
-        if self.nystrom_rank is not None and self.nystrom_rank < 0:
-            raise ConfigError("nystrom_rank must be >= 0")
-        if self.residual_every < 0:
-            raise ConfigError("residual_every must be >= 0")
 
     def validate_for(self, n):
         """Size-dependent checks once the problem size is known."""

@@ -14,19 +14,11 @@ from .rng import substream
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix and targets plus the stored standardization transform.
-
-    The transform parameters map stored values back to original units:
-    ``original = value * std + mean``. A freshly loaded dataset carries the
-    identity transform (means 0, stds 1).
-    """
+    """Feature matrix and targets. Standardized copies keep no inverse
+    transform: predictions and metrics stay in standardized space."""
 
     features: np.ndarray
     targets: np.ndarray
-    feature_means: np.ndarray
-    feature_stds: np.ndarray
-    target_mean: float = 0.0
-    target_std: float = 1.0
 
     def __post_init__(self):
         features = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
@@ -40,14 +32,8 @@ class Dataset:
             raise ValidationError("targets length does not match feature rows")
         if not np.all(np.isfinite(features)) or not np.all(np.isfinite(targets)):
             raise ValidationError("non-finite values are not accepted")
-        means = np.broadcast_to(np.asarray(self.feature_means, dtype=np.float64), (d,)).copy()
-        stds = np.broadcast_to(np.asarray(self.feature_stds, dtype=np.float64), (d,)).copy()
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "feature_means", means)
-        object.__setattr__(self, "feature_stds", stds)
-        object.__setattr__(self, "target_mean", float(self.target_mean))
-        object.__setattr__(self, "target_std", float(self.target_std))
 
     @property
     def n(self):
@@ -57,23 +43,10 @@ class Dataset:
     def d(self):
         return self.features.shape[1]
 
-    @classmethod
-    def from_arrays(cls, features, targets):
-        """Wrap raw arrays with the identity transform."""
-        features = np.asarray(features, dtype=np.float64)
-        return cls(features, targets, np.zeros(features.shape[1]), np.ones(features.shape[1]))
-
     def subset(self, indices):
-        """Row subset carrying the same transform parameters."""
+        """The rows ``indices``, in that order."""
         indices = np.asarray(indices, dtype=np.intp)
-        return Dataset(
-            self.features[indices],
-            self.targets[indices],
-            self.feature_means,
-            self.feature_stds,
-            self.target_mean,
-            self.target_std,
-        )
+        return Dataset(self.features[indices], self.targets[indices])
 
 
 def _try_float(token):
@@ -141,46 +114,28 @@ def load_csv(path, target_column=-1):
 
     mask = np.ones(arity, dtype=bool)
     mask[target_idx] = False
-    return Dataset.from_arrays(values[:, mask], values[:, target_idx])
+    return Dataset(values[:, mask], values[:, target_idx])
 
 
-def _fit_standardizer(features, targets):
-    """Per-column mean and sample std (ddof=1); degenerate stds forced to 1."""
-    n = features.shape[0]
-    means = features.mean(axis=0)
-    if n >= 2:
-        stds = features.std(axis=0, ddof=1)
-        tstd = float(targets.std(ddof=1))
+def _standardizer(ds):
+    """The z-score map fitted on ``ds``: per-column mean and sample std
+    (ddof=1) of features and targets; degenerate stds forced to 1."""
+    means = ds.features.mean(axis=0)
+    if ds.n >= 2:
+        stds = ds.features.std(axis=0, ddof=1)
+        tstd = float(ds.targets.std(ddof=1))
     else:
-        stds = np.zeros(features.shape[1])
+        stds = np.zeros(ds.d)
         tstd = 0.0
     stds = np.where(stds > 0.0, stds, 1.0)
     tstd = tstd if tstd > 0.0 else 1.0
-    return means, stds, float(targets.mean()), tstd
-
-
-def _apply_standardizer(ds, means, stds, tmean, tstd):
-    # Compose with the transform already stored so inversion always reaches
-    # original units.
-    return Dataset(
-        (ds.features - means) / stds,
-        (ds.targets - tmean) / tstd,
-        ds.feature_means + means * ds.feature_stds,
-        ds.feature_stds * stds,
-        ds.target_mean + tmean * ds.target_std,
-        ds.target_std * tstd,
-    )
+    tmean = float(ds.targets.mean())
+    return lambda part: Dataset((part.features - means) / stds, (part.targets - tmean) / tstd)
 
 
 def standardize(ds):
-    """Z-score features (per column) and targets; store the inverse transform."""
-    means, stds, tmean, tstd = _fit_standardizer(ds.features, ds.targets)
-    return _apply_standardizer(ds, means, stds, tmean, tstd)
-
-
-def unstandardize_targets(ds, values):
-    """Map target-space values back to original units."""
-    return np.asarray(values, dtype=np.float64) * ds.target_std + ds.target_mean
+    """Z-score features (per column) and targets."""
+    return _standardizer(ds)(ds)
 
 
 def train_test_split(ds, test_fraction, seed):
@@ -199,8 +154,5 @@ def train_test_split(ds, test_fraction, seed):
     train_idx = np.sort(perm[n_test:])
     train = ds.subset(train_idx)
     test = ds.subset(test_idx)
-    means, stds, tmean, tstd = _fit_standardizer(train.features, train.targets)
-    return (
-        _apply_standardizer(train, means, stds, tmean, tstd),
-        _apply_standardizer(test, means, stds, tmean, tstd),
-    )
+    fitted = _standardizer(train)
+    return fitted(train), fitted(test)

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import ContractError, NumericalError
 from .rng import as_generator
 
-EXACT_LIMIT = 2048
 LOG_SPREAD = 1e12
 SAMPLE_CHUNK = 16  # samples whose chain rules run in lockstep
 
@@ -94,22 +93,10 @@ class DppModel:
         self.eigvals = eigvals
         self.eigvecs = eigvecs
         self.sample_size = int(sample_size)
-        self.es_values = None
         self.es_table = None
         self.log_es_table = None
         self._ratios = None
         self._half = {}
-
-    @classmethod
-    def from_matrix(cls, A, sample_size, validate=False):
-        A = np.asarray(A, dtype=np.float64)
-        n = A.shape[0]
-        if n > EXACT_LIMIT:
-            raise ContractError(f"exact sampling limited to n <= {EXACT_LIMIT}")
-        w, V = np.linalg.eigh(0.5 * (A + A.T))
-        if w[0] <= 0.0:
-            raise NumericalError("matrix must be positive definite for DPP sampling")
-        return cls(w[::-1].copy(), V[:, ::-1].copy(), sample_size, validate=validate)
 
     # -- phase 1: eigenvector-subset selection ------------------------------
 
@@ -123,7 +110,6 @@ class DppModel:
         n = self.eigvals.size
         scaled = self.eigvals / self.eigvals[0]
         spread = self.eigvals[0] / self.eigvals[-1]
-        self.es_values = scaled
         use_log = spread > LOG_SPREAD
         if not use_log:
             self.es_table = elementary_symmetric(scaled, k)
@@ -131,8 +117,7 @@ class DppModel:
                 ratios = (
                     scaled[None, :] * self.es_table[:-1, :-1] / self.es_table[1:, 1:]
                 )
-            ratios = np.vstack([np.zeros((1, n)), ratios])
-            if not np.all(np.isfinite(ratios[1:, :][self.es_table[1:, 1:] > 0.0])):
+            if not np.all(np.isfinite(ratios[self.es_table[1:, 1:] > 0.0])):
                 use_log = True
         if use_log:
             logs = np.log(scaled)
@@ -144,11 +129,9 @@ class DppModel:
                     + self.log_es_table[:-1, :-1]
                     - self.log_es_table[1:, 1:]
                 )
-            ratios = np.vstack([np.zeros((1, n)), ratios])
-        ratios = np.nan_to_num(ratios, nan=0.0, posinf=0.0)
-        # pad so R[l][m] indexes with 1-based m; force the must-take boundary
+        # pad so R[l][m] indexes with 1-based l and m; force the must-take boundary
         full = np.zeros((k + 1, n + 1))
-        full[:, 1:] = ratios
+        full[1:, 1:] = np.nan_to_num(ratios, nan=0.0, posinf=0.0)
         for l in range(1, k + 1):
             full[l, l] = 1.0
         self._ratios = [row.tolist() for row in full]
@@ -268,11 +251,10 @@ class DppModel:
 class ProjectionEstimate:
     """Monte-Carlo mean of the sampled projection with per-entry stderr."""
 
-    def __init__(self, mean, stderr, num_samples, basis):
+    def __init__(self, mean, stderr, num_samples):
         self.mean = mean
         self.stderr = stderr
         self.num_samples = num_samples
-        self.basis = basis
 
     def diagonal(self):
         return np.diag(self.mean)
@@ -306,7 +288,7 @@ def expected_projection_mc(model, num_samples, seed, basis="standard"):
     mean = total / num_samples
     var = np.maximum(total_sq / num_samples - mean * mean, 0.0)
     stderr = np.sqrt(var / num_samples)
-    return ProjectionEstimate(mean, stderr, num_samples, basis)
+    return ProjectionEstimate(mean, stderr, num_samples)
 
 
 def _spawn_seed(seed, index):

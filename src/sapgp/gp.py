@@ -1,4 +1,4 @@
-"""GP posterior mean, priors, pathwise-conditioning samples, and metrics.
+"""GP priors, pathwise-conditioning samples with the posterior mean, and metrics.
 
 Pathwise conditioning turns a prior draw f and noise zeta ~ N(0, lam I) into
 a posterior sample via a single regularized solve:
@@ -80,11 +80,6 @@ class RandomFeatureMap:
         return phi
 
 
-def kernel_estimate(rfm, Xa, Xb):
-    """Monte-Carlo kernel estimate phi(Xa) phi(Xb)^T from the feature map."""
-    return rfm.features(Xa) @ rfm.features(Xb).T
-
-
 # ---------------------------------------------------------------------------
 # prior samplers over fixed train/test locations
 
@@ -143,24 +138,7 @@ class ExactPrior:
 
 
 # ---------------------------------------------------------------------------
-# posterior mean and pathwise samples
-
-
-class PosteriorMean:
-    """Matrix-free evaluator m(Xs) = k(Xs, X) @ weights."""
-
-    def __init__(self, oracle, weights):
-        self.oracle = oracle
-        self.weights = np.asarray(weights, dtype=np.float64)
-
-    def __call__(self, Xstar):
-        return self.oracle.cross_matmul(Xstar, self.weights)
-
-
-def posterior_mean(oracle, solve_fn, y):
-    """Fit the representer weights with ``solve_fn`` and wrap the evaluator."""
-    weights = solve_fn(oracle, np.asarray(y, dtype=np.float64))
-    return PosteriorMean(oracle, weights)
+# pathwise posterior samples
 
 
 @dataclass

@@ -52,15 +52,6 @@ class SpectralBasis:
     def system_eigvals(self):
         return self.kernel_eigvals + self.lam
 
-    @classmethod
-    def from_oracle(cls, oracle):
-        K = oracle.dense()
-        w, V = np.linalg.eigh(K)
-        return cls(w[::-1].copy(), V[:, ::-1].copy(), oracle.lam)
-
-    def rotate(self, vec):
-        return self.eigvecs.T @ vec
-
 
 @dataclass(frozen=True)
 class SubspaceError:
@@ -72,8 +63,8 @@ def subspace_error(basis, w, w_star, num_top):
     """Top-subspace error in both the RKHS and the regularized metric."""
     if not 1 <= num_top <= basis.n:
         raise ContractError("subspace size out of range")
-    delta = basis.rotate(np.asarray(w, dtype=np.float64) - w_star)
-    head = delta[:num_top] ** 2
+    delta = basis.eigvecs[:, :num_top].T @ (np.asarray(w, dtype=np.float64) - w_star)
+    head = delta**2
     return SubspaceError(
         rkhs=float(head @ basis.kernel_eigvals[:num_top]),
         regularized=float(head @ basis.system_eigvals[:num_top]),
@@ -94,24 +85,14 @@ def _local_orthogonal(rng, n, support=40):
     """Block-diagonal Haar basis: eigenvectors supported on ``support``
     coordinates, interleaved so consecutive eigenvalues land in different
     blocks. Mimics the locally supported eigenfunctions of kernel matrices."""
-    blocks = [(start, stop) for start, stop in _chunks(n, support)]
+    starts = range(0, n, support)
     V = np.zeros((n, n))
-    for start, stop in blocks:
+    for start in starts:
+        stop = min(start + support, n)
         V[start:stop, start:stop] = _haar_orthogonal(rng, stop - start)
-    remaining = [list(range(start, stop)) for start, stop in blocks]
-    order = []
-    while len(order) < n:
-        for cols in remaining:
-            if cols:
-                order.append(cols.pop(0))
+    # round robin over the blocks: the i-th column of each block, in block order
+    order = [start + i for i in range(support) for start in starts if start + i < n]
     return V[:, order]
-
-
-def _chunks(size, width):
-    start = 0
-    while start < size:
-        yield start, min(start + width, size)
-        start += width
 
 
 @dataclass
@@ -210,30 +191,27 @@ def log_grid(total):
     return points
 
 
-def _run_trial(problem, model, iters, trial_seed, snapshot_indices,
-               sampler="kdpp", blocksize=None):
-    """One zero-initialized exact solver run; returns prefix-sum snapshots
-    S_j = sum_{i<=j} w_i and final-iterate snapshots at requested indices."""
-    n = problem.n
-    cumsum = np.zeros(n)
-    prefix = {0: np.zeros(n)}
-    iterates = {}
-    wanted_prefix, wanted_iterates = snapshot_indices
+def _trial_iterates(problem, model, grid, trial_seed, tail, sampler="kdpp", blocksize=None):
+    """One zero-initialized exact solver run to the last grid point. Returns,
+    per grid point t, the tail average of w_{t/2}, ..., w_{t-1} (``tail``,
+    from prefix sums S_j = w_1 + ... + w_j) or the iterate w_t."""
+    cumsum = np.zeros(problem.n)
+    snapshots = {0: np.zeros(problem.n)}
+    wanted = {t - 1 for t in grid} | {t // 2 - 1 for t in grid} if tail else set(grid)
 
     def on_iterate(idx, W):
         w = W[:, 0]
-        np.add(cumsum, w, out=cumsum)
-        if idx in wanted_prefix:
-            prefix[idx] = cumsum.copy()
-        if idx in wanted_iterates:
-            iterates[idx] = w.copy()
+        if tail:
+            w = np.add(cumsum, w, out=cumsum)
+        if idx in wanted:
+            snapshots[idx] = w.copy()
 
     config = RunConfig(
         lam=problem.lam,
         solver_id="sap",
         sampler=sampler,
         blocksize=blocksize if sampler == "uniform" else None,
-        max_iters=iters,
+        max_iters=grid[-1],
         residual_every=0,
         seed=trial_seed,
     )
@@ -245,12 +223,33 @@ def _run_trial(problem, model, iters, trial_seed, snapshot_indices,
         dpp_model=model,
         on_iterate=on_iterate,
     )
-    return prefix, iterates
+    if tail:
+        return [(snapshots[t - 1] - snapshots[t // 2 - 1]) * (2.0 / t) for t in grid]
+    return [snapshots[t] for t in grid]
 
 
-def _tail_average_from_prefix(prefix, t):
-    window = prefix[t - 1] - prefix[t // 2 - 1]
-    return window * (2.0 / t)
+def _trial_errors(problems, model, grid, seed, tail, error, **run):
+    """errors[trial, grid point] = error(problem, iterate), one solver run per
+    entry of ``problems`` on the substream ("trial", index) of ``seed``."""
+    if not grid or len(problems) < 2:
+        raise ContractError("need at least one grid point (iters >= 2) and trials >= 2")
+    errors = np.empty((len(problems), len(grid)))
+    for trial, problem in enumerate(problems):
+        trial_seed = int(substream(seed, "trial", trial).integers(2**63))
+        iterates = _trial_iterates(problem, model, grid, trial_seed, tail, **run)
+        errors[trial] = [error(problem, w) for w in iterates]
+    return errors
+
+
+def _gridpoints(grid, errors, bounds):
+    """Monte-Carlo mean and stderr per grid point; a point passes when its
+    mean stays within its bound plus 3 stderr."""
+    means = errors.mean(axis=0)
+    stderrs = errors.std(axis=0, ddof=1) / math.sqrt(errors.shape[0])
+    return [
+        GridPoint(t, float(mean), float(se), float(bound), bool(mean <= bound + 3.0 * se))
+        for t, mean, se, bound in zip(grid, means, stderrs, bounds)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -384,38 +383,23 @@ def verify_theorem1(problem, half_blocksize, num_top, trials, iters, seed, proje
     """
     if not 1 <= num_top <= problem.n:
         raise ContractError("num_top out of range")
-    n = problem.n
     model = problem.dpp_model(2 * half_blocksize) if sampler == "kdpp" else None
     grid = log_grid(iters)
-    prefix_wanted = {t - 1 for t in grid} | {t // 2 - 1 for t in grid}
-    sys_eigs = problem.system_eigvals
-    head = sys_eigs[:num_top]
-    V_top = problem.basis.eigvecs[:, :num_top]
-    errors = np.empty((trials, len(grid)))
-    for trial in range(trials):
-        trial_seed = int(substream(seed, "trial", trial).integers(2**63))
-        prefix, _ = _run_trial(
-            problem, model, iters, trial_seed, (prefix_wanted, set()),
-            sampler=sampler, blocksize=2 * half_blocksize,
-        )
-        for gi, t in enumerate(grid):
-            wbar = _tail_average_from_prefix(prefix, t)
-            delta = V_top.T @ (wbar - problem.w_star)
-            errors[trial, gi] = float((delta**2) @ head)
-    means = errors.mean(axis=0)
-    stderrs = errors.std(axis=0, ddof=1) / math.sqrt(trials)
-    gridpoints = []
-    crossover = None
-    previous_branch = None
-    for gi, t in enumerate(grid):
-        bound, branch = theorem_bound(
-            sys_eigs, half_blocksize, num_top, t, problem.sol_norm_sq
-        )
-        if crossover is None and previous_branch == "sublinear" and branch == "linear":
-            crossover = t
-        previous_branch = branch
-        passed = means[gi] <= bound + 3.0 * stderrs[gi]
-        gridpoints.append(GridPoint(t, float(means[gi]), float(stderrs[gi]), bound, bool(passed)))
+    errors = _trial_errors(
+        [problem] * trials, model, grid, seed, True,
+        lambda p, w: subspace_error(p.basis, w, p.w_star, num_top).regularized,
+        sampler=sampler, blocksize=2 * half_blocksize,
+    )
+    bounds, branches = zip(*(
+        theorem_bound(problem.system_eigvals, half_blocksize, num_top, t, problem.sol_norm_sq)
+        for t in grid
+    ))
+    crossover = next(
+        (t for t, before, after in zip(grid[1:], branches, branches[1:])
+         if before == "sublinear" and after == "linear"),
+        None,
+    )
+    gridpoints = _gridpoints(grid, errors, bounds)
     assumption = None
     if projection is not None:
         diag = projection.diagonal()
@@ -448,7 +432,6 @@ def verify_linear_rate(problem, half_blocksize, trials, iters, seed, projection=
     rate (1 - lam_hat)^t, with lam_hat the smallest expected-projection
     diagonal estimated from the Monte-Carlo projection (minus 3 stderr, so the
     reference rate is a high-confidence lower bound)."""
-    n = problem.n
     model = problem.dpp_model(2 * half_blocksize)
     if projection is None:
         projection = expected_projection_mc(
@@ -456,24 +439,12 @@ def verify_linear_rate(problem, half_blocksize, trials, iters, seed, projection=
         )
     lam_hat = max(projection.min_diagonal_lcb(3.0), 0.0)
     grid = log_grid(iters)
-    sys_eigs = problem.system_eigvals
-    V = problem.basis.eigvecs
-    wanted = set(grid)
-    errors = np.empty((trials, len(grid)))
-    for trial in range(trials):
-        trial_seed = int(substream(seed, "trial", trial).integers(2**63))
-        _, iterates = _run_trial(problem, model, iters, trial_seed, (set(), wanted))
-        for gi, t in enumerate(grid):
-            delta = V.T @ (iterates[t] - problem.w_star)
-            errors[trial, gi] = float((delta**2) @ sys_eigs)
-    means = errors.mean(axis=0)
-    stderrs = errors.std(axis=0, ddof=1) / math.sqrt(trials)
+    errors = _trial_errors(
+        [problem] * trials, model, grid, seed, False,
+        lambda p, w: subspace_error(p.basis, w, p.w_star, p.n).regularized,
+    )
     init = problem.sol_norm_sq
-    gridpoints = []
-    for gi, t in enumerate(grid):
-        bound = (1.0 - lam_hat) ** t * init
-        passed = means[gi] <= bound + 3.0 * stderrs[gi]
-        gridpoints.append(GridPoint(t, float(means[gi]), float(stderrs[gi]), float(bound), bool(passed)))
+    gridpoints = _gridpoints(grid, errors, [(1.0 - lam_hat) ** t * init for t in grid])
     return VerificationReport(
         name="linear_rate",
         passed=all(g.passed for g in gridpoints),
@@ -564,35 +535,23 @@ def verify_pathwise(seed):
 # effective rank and iteration-count checks
 
 
-def effective_rank_check(spectrum, num_top):
-    """Smoothed condition number at blocksize 2l relative to the l-th
-    eigenvalue; O(1) in n exactly when the spectrum decays polynomially."""
-    return smoothed_condition(spectrum, 2 * num_top, num_top)
-
-
 def poly_effective_rank_report(beta, num_top, n, growth=4):
     """phi(2l, l) and phi(4l, l) for i^(-beta) spectra at sizes n and
     ``growth`` * n; bounded means the values differ by less than 10%."""
-    rows = {}
+    details = {}
     for b_mult in (2, 4):
-        small = smoothed_condition(
-            np.arange(1, n + 1, dtype=np.float64) ** (-beta), b_mult * num_top, num_top
+        small, large = (
+            smoothed_condition(np.arange(1, size + 1, dtype=np.float64) ** (-beta),
+                               b_mult * num_top, num_top)
+            for size in (n, growth * n)
         )
-        large = smoothed_condition(
-            np.arange(1, growth * n + 1, dtype=np.float64) ** (-beta),
-            b_mult * num_top,
-            num_top,
-        )
-        rows[b_mult] = (small, large, abs(large - small) <= 0.1 * small)
-    passed = all(r[2] for r in rows.values())
+        details[f"phi_b{b_mult}l"] = {
+            "n": small, "grown": large, "bounded": abs(large - small) <= 0.1 * small,
+        }
     return VerificationReport(
         name="effective_rank",
-        passed=passed,
-        details={
-            f"phi_b{b_mult}l": {"n": rows[b_mult][0], "grown": rows[b_mult][1],
-                                "bounded": rows[b_mult][2]}
-            for b_mult in rows
-        },
+        passed=all(row["bounded"] for row in details.values()),
+        details=details,
     )
 
 
@@ -608,21 +567,20 @@ def verify_sublinear_iterations(n, beta, lam, num_top, epsilon, constant, trials
     total = int(math.ceil(constant * (n / num_top) / epsilon / 2.0)) * 2
     model = base.dpp_model(4 * num_top)
     grid = log_grid(total)
-    prefix_wanted = {t - 1 for t in grid} | {t // 2 - 1 for t in grid}
-    kernel_head = base.basis.kernel_eigvals[:num_top]
-    V_top = base.basis.eigvecs[:, :num_top]
-    successes = 0
-    for trial in range(trials):
-        problem = base.with_response(int(substream(seed, "response", trial).integers(2**63)))
-        target = epsilon * float(((V_top.T @ problem.w_star) ** 2) @ kernel_head)
-        trial_seed = int(substream(seed, "trial", trial).integers(2**63))
-        prefix, _ = _run_trial(problem, model, total, trial_seed, (prefix_wanted, set()))
-        for t in grid:
-            wbar = _tail_average_from_prefix(prefix, t)
-            delta = V_top.T @ (wbar - problem.w_star)
-            if float((delta**2) @ kernel_head) <= target:
-                successes += 1
-                break
+    problems = [
+        base.with_response(int(substream(seed, "response", trial).integers(2**63)))
+        for trial in range(trials)
+    ]
+    errors = _trial_errors(
+        problems, model, grid, seed, True,
+        lambda p, w: subspace_error(p.basis, w, p.w_star, num_top).rkhs,
+    )
+    # epsilon times the top-l RKHS norm of the exact mean, ||proj_l m||^2
+    targets = [
+        epsilon * subspace_error(p.basis, p.w_star, np.zeros(p.n), num_top).rkhs
+        for p in problems
+    ]
+    successes = int(sum((row <= target).any() for row, target in zip(errors, targets)))
     fraction = successes / trials
     return VerificationReport(
         name="sublinear_iterations",

@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import sapgp.cli
 from sapgp.cli import main
+from sapgp.config import apply_overrides
 
 
 def run_cli(*args):
@@ -242,14 +245,16 @@ def test_bench_writes_timings(tmp_path):
 
 @pytest.mark.parametrize("override", [
     "run.max_passes=inf", "run.blocksize=abc", "run.residual_every=x", "run.lam=abc",
-    "run.seed=1.5",
+    "run.seed=1.5", "run.tail_average=no", "run.max_iters=0", "run.max_iters=-3",
+    "run.max_passes=-1", "run.max_passes=0", "run.tol=-1e-3", "run.stepsize_scale=-1",
 ])
 def test_bad_run_value_is_one_error_line(tmp_path, capsys, override):
     code = run_cli("--out", str(tmp_path / "out"), "--set", "problem.n=50",
                    "--set", override, "solve")
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
+    key = override.partition("=")[0].removeprefix("run.")
+    assert len(err) == 1 and err[0].startswith(f"error: {key} must be")
 
 
 @pytest.mark.parametrize("seed", ["abc", "1.5"])
@@ -312,6 +317,9 @@ def test_bad_problem_value_names_its_key(tmp_path, capsys, key, value):
      "verify.projection_samples"),
     (["--set", "infer.num_samples=abc", "infer"], "infer.num_samples"),
     (["--set", "infer.num_features=2.5", "infer"], "infer.num_features"),
+    (["--set", "infer.num_features=0", "infer"], "infer.num_features"),
+    (["--set", "infer.num_features=-4", "infer"], "infer.num_features"),
+    (["--set", "infer.num_samples=-1", "infer"], "infer.num_samples"),
 ])
 def test_bad_verify_and_infer_values_name_their_key(tmp_path, capsys, args, key):
     code = run_cli("--out", str(tmp_path / "out"), *args)
@@ -332,3 +340,59 @@ def test_verify_rejects_keys_outside_the_suite_table(tmp_path, capsys, args, key
     assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
     assert "verify.n" not in err[0]  # a key the suite reads is not named
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("suite,override", [
+    ("theorem1", "verify.iters=1"), ("theorem1", "verify.trials=1"),
+    ("theorem1", "verify.trials=0"), ("linear_rate", "verify.iters=1"),
+    ("linear_rate", "verify.trials=1"),
+])
+def test_verify_without_grid_points_or_trials_is_one_error_line(tmp_path, capsys, suite,
+                                                                 override):
+    # no grid point, or no stderr from a single trial, cannot give a verdict
+    args = ["--set", "verify.n=16", "--set", "verify.half_blocksize=2", "--set", override]
+    if suite == "linear_rate":
+        args += ["--set", "verify.projection_samples=20"]
+    code = run_cli("--out", str(tmp_path / "out"), *args, "verify", suite)
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: need at least one grid point (iters >= 2) and trials >= 2"]
+    assert not (tmp_path / "out" / f"report_{suite}.json").exists()
+
+
+def _is_literal(text):
+    if text.lower() in ("true", "false", "null", "none"):
+        return True
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+@given(
+    st.lists(st.from_regex(r"[a-z_]{1,8}", fullmatch=True), min_size=1, max_size=3),
+    st.one_of(
+        st.integers(),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.booleans(),
+        st.none(),
+        st.text(min_size=1).filter(lambda text: not _is_literal(text)),
+    ),
+)
+def test_set_override_round_trips(path, value):
+    if value is None:
+        raw = "null"
+    elif isinstance(value, bool):
+        raw = str(value).lower()
+    else:
+        raw = repr(value) if isinstance(value, float) else str(value)
+    tree = apply_overrides({}, [f"{'.'.join(path)}={raw}"])
+    expected = value
+    for part in reversed(path):
+        expected = {part: expected}
+    assert tree == expected
+    leaf = tree
+    for part in path:
+        leaf = leaf[part]
+    assert type(leaf) is type(value)

@@ -14,6 +14,12 @@ def random_psd(rng, n, jitter=0.3):
     return G @ G.T + jitter * np.eye(n)
 
 
+def eigh_model(A, sample_size):
+    """The exact k-DPP of a symmetric positive definite matrix."""
+    w, V = np.linalg.eigh(A)
+    return DppModel(w[::-1].copy(), V[:, ::-1].copy(), sample_size, validate=False)
+
+
 def test_elementary_symmetric_recurrence():
     rng = np.random.default_rng(0)
     vals = rng.uniform(0.1, 2.0, size=9)
@@ -47,14 +53,14 @@ def test_two_point_marginals():
 def test_full_size_sample_is_everything():
     rng = np.random.default_rng(3)
     A = random_psd(rng, 5)
-    model = DppModel.from_matrix(A, 5)
+    model = eigh_model(A, 5)
     assert np.array_equal(model.sample(0), np.arange(5))
 
 
 def test_exhaustive_determinant_frequencies():
     rng = np.random.default_rng(4)
     A = random_psd(rng, 4)
-    model = DppModel.from_matrix(A, 2)
+    model = eigh_model(A, 2)
     weights = {}
     for subset in itertools.combinations(range(4), 2):
         weights[subset] = np.linalg.det(A[np.ix_(subset, subset)])
@@ -74,15 +80,15 @@ def test_sample_size_bounds():
     rng = np.random.default_rng(6)
     A = random_psd(rng, 6)
     with pytest.raises(ContractError):
-        DppModel.from_matrix(A, 7)
+        eigh_model(A, 7)
     with pytest.raises(ContractError):
-        DppModel.from_matrix(A, 0)
+        eigh_model(A, 0)
 
 
 def test_sampled_projection_is_projection():
     rng = np.random.default_rng(7)
     A = random_psd(rng, 12)
-    model = DppModel.from_matrix(A, 4)
+    model = eigh_model(A, 4)
     block = model.sample(8)
     proj = model.projection_matrix(block)
     assert np.linalg.norm(proj @ proj - proj) <= 1e-8
@@ -104,7 +110,7 @@ def test_expected_projection_identity_case():
 def test_expected_projection_mc_scaling():
     rng = np.random.default_rng(10)
     A = random_psd(rng, 8)
-    model = DppModel.from_matrix(A, 2)
+    model = eigh_model(A, 2)
     small = expected_projection_mc(model, 300, seed=1, basis="eigen")
     large = expected_projection_mc(model, 4800, seed=2, basis="eigen")
     off = ~np.eye(8, dtype=bool)
@@ -159,7 +165,7 @@ def test_extreme_spread_uses_log_path():
 def test_sampler_deterministic_in_seed():
     rng = np.random.default_rng(12)
     A = random_psd(rng, 10)
-    model = DppModel.from_matrix(A, 3)
+    model = eigh_model(A, 3)
     assert np.array_equal(model.sample(42), model.sample(42))
     assert not all(
         np.array_equal(model.sample(s), model.sample(s + 1))
@@ -214,7 +220,7 @@ def serial_sample(model, seed):
 
 def _random_model(n, k, seed):
     A = random_psd(np.random.default_rng(seed), n)
-    return DppModel.from_matrix(A, k)
+    return eigh_model(A, k)
 
 
 def _log_path_model():

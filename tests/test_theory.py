@@ -6,7 +6,6 @@ from sapgp.dpp import expected_projection_mc, smoothed_condition
 from sapgp.theory import (
     SpectralBasis,
     SyntheticSpectrumProblem,
-    effective_rank_check,
     log_grid,
     poly_effective_rank_report,
     subspace_error,
@@ -60,12 +59,6 @@ def test_spectral_basis_functions_unit_norm():
     for j in range(24):
         coeff = V[:, j] / np.sqrt(lams[j])
         assert coeff @ K @ coeff == pytest.approx(1.0, abs=1e-8)
-
-
-def test_basis_from_oracle_matches_planted():
-    problem = small_problem(n=20)
-    rebuilt = SpectralBasis.from_oracle(problem.oracle)
-    assert np.abs(rebuilt.kernel_eigvals - problem.basis.kernel_eigvals).max() <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +143,8 @@ def test_theorem_bound_monotone_in_t():
 def test_effective_rank_poly_decay():
     spectrum = np.arange(1, 1001, dtype=np.float64) ** -2.0
     grown = np.arange(1, 4001, dtype=np.float64) ** -2.0
-    small = effective_rank_check(spectrum, 10)
-    large = effective_rank_check(grown, 10)
+    small = smoothed_condition(spectrum, 20, 10)
+    large = smoothed_condition(grown, 20, 10)
     assert abs(large - small) < 0.1 * small
     report = poly_effective_rank_report(2.0, 10, 1000)
     assert report.passed
@@ -159,7 +152,7 @@ def test_effective_rank_poly_decay():
 
 def test_effective_rank_geometric_decay_vanishes():
     spectrum = 0.5 ** np.arange(400)
-    values = [effective_rank_check(spectrum, ell) for ell in (2, 8, 32)]
+    values = [smoothed_condition(spectrum, 2 * ell, ell) for ell in (2, 8, 32)]
     assert values[0] > values[1] > values[2]
     assert values[2] < 1e-8
 
