@@ -22,14 +22,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .config import (
-    RunConfig,
-    _number,
-    apply_overrides,
-    kernel_from_dict,
-    load_config,
-    section_numbers,
-)
+from .config import RunConfig, apply_overrides, kernel_from_dict, load_config, read_section
 from .data import load_csv, standardize, train_test_split
 from .dist import WorkerPool, col_dist_matmul, row_dist_matmul
 from .errors import ConfigError, SapgpError
@@ -95,43 +88,39 @@ def _manifest(out_dir, command, tree, run_config, outputs):
     _write_json(out_dir / "manifest.json", payload)
 
 
+# problem type -> {key: (default, kind[, lower])}, read by config.read_section
+PROBLEM_KEYS = {
+    "synthetic": {"type": (None, None), "n": (1000, int, ">= 2"), "beta": (2.0, float, "> 0"),
+                  "response": ("planted", ("planted", "gaussian")),
+                  "normalize": ("none", ("none", "trace")), "basis": ("haar", ("haar", "local"))},
+    "csv": {"type": (None, None), "path": (None, None), "target_column": (-1, None),
+            "test_fraction": (None, float)},
+}
+
+
 def _build_problem(tree, run_config):
     """Returns (oracle, y, dataset_or_None) from the problem section."""
-    section = dict(tree.get("problem", {}))
-    kind = section.pop("type", "synthetic")
+    section = tree.get("problem", {})
+    kind = section.get("type", "synthetic")
+    if kind not in tuple(PROBLEM_KEYS):
+        raise ConfigError(f"unknown problem type {kind!r}")
+    values = read_section("problem", section, PROBLEM_KEYS[kind])
     if kind == "synthetic":
-        allowed = {"n", "beta", "response", "normalize", "basis"}
-        unknown = set(section) - allowed
-        if unknown:
-            raise ConfigError(f"unknown synthetic problem keys: {sorted(unknown)}")
-        values = section_numbers("problem", section, {"n": (1000, True), "beta": (2.0, False)})
         problem = SyntheticSpectrumProblem.poly(
-            values["n"],
-            values["beta"],
-            run_config.lam,
-            run_config.seed,
-            response=section.get("response", "planted"),
-            normalize=section.get("normalize", "none"),
-            basis=section.get("basis", "haar"),
+            values["n"], values["beta"], run_config.lam, run_config.seed,
+            response=values["response"], normalize=values["normalize"], basis=values["basis"],
         )
         return problem.oracle, problem.y, None
-    if kind == "csv":
-        allowed = {"path", "target_column", "test_fraction"}
-        unknown = set(section) - allowed
-        if unknown:
-            raise ConfigError(f"unknown csv problem keys: {sorted(unknown)}")
-        if "path" not in section:
-            raise ConfigError("csv problem needs a path")
-        ds = load_csv(section["path"], section.get("target_column", -1))
-        if "test_fraction" in section:
-            fraction = _number("problem.test_fraction", section["test_fraction"], integral=False)
-            train, test = train_test_split(ds, fraction, run_config.seed)
-        else:
-            train, test = standardize(ds), None
-        spec = kernel_from_dict(tree.get("kernel", {}), d=train.d)
-        oracle = KernelOracle(spec, train.features, run_config.lam)
-        return oracle, train.targets, (train, test, spec)
-    raise ConfigError(f"unknown problem type {kind!r}")
+    if values["path"] is None:
+        raise ConfigError("csv problem needs a path")
+    ds = load_csv(values["path"], values["target_column"])
+    if values["test_fraction"] is not None:
+        train, test = train_test_split(ds, values["test_fraction"], run_config.seed)
+    else:
+        train, test = standardize(ds), None
+    spec = kernel_from_dict(tree.get("kernel", {}), d=train.d)
+    oracle = KernelOracle(spec, train.features, run_config.lam)
+    return oracle, train.targets, (train, test, spec)
 
 
 def cmd_solve(args):
@@ -161,22 +150,16 @@ def cmd_solve(args):
     return EXIT_DIVERGED if result.diverged else EXIT_OK
 
 
+INFER_KEYS = {"num_samples": (64, int, ">= 0"), "num_features": (2048, int, ">= 1")}
+
+
 def cmd_infer(args):
     tree = _effective_config(args)
     run_config = RunConfig.from_dict(tree.get("run", {}))
-    section = dict(tree.get("infer", {}))
-    allowed = {"num_samples", "num_features"}
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown infer keys: {sorted(unknown)}")
-    values = section_numbers(
-        "infer", section, {"num_samples": (64, True), "num_features": (2048, True)}
-    )
-    for key, bound in (("num_samples", 0), ("num_features", 1)):
-        if values[key] < bound:
-            raise ConfigError(f"infer.{key} must be >= {bound}, got {values[key]!r}")
-    num_samples = values["num_samples"]
-    num_features = values["num_features"]
+    values = read_section("infer", tree.get("infer", {}), INFER_KEYS)
+    num_samples, num_features = values["num_samples"], values["num_features"]
+    if num_samples == 1:  # a predictive variance needs two samples
+        raise ConfigError("infer.num_samples must be 0 or >= 2, got 1")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -208,9 +191,7 @@ def cmd_infer(args):
         metrics["rmse"] = rmse(mean_values, test.targets)
         metrics["mean_nll"] = mean_nll(mean_values, variance, test.targets)
         columns = [mean_values, variance] + [samples.sample_values[:, i] for i in range(num_samples)]
-        header = "point_id,mean,variance," + ",".join(
-            f"sample_{i}" for i in range(num_samples)
-        )
+        header = "point_id,mean,variance," + ",".join(f"sample_{i}" for i in range(num_samples))
     with open(out_dir / "predictions.csv", "w") as handle:
         handle.write(header + "\n")
         for i in range(len(mean_values)):
@@ -226,24 +207,24 @@ def _poly(p, seed):
     return SyntheticSpectrumProblem.poly(p["n"], p["beta"], p["lam"], seed)
 
 
-# suite -> ({verify key: (default, integral)}, run(values, seed) -> report)
+# suite -> ({verify key: (default, kind)}, run(values, seed) -> report)
 VERIFY_SUITES = {
     "lemma2": (
-        {"n": (64, True), "beta": (2.0, False), "lam": (1e-3, False),
-         "half_blocksize": (8, True), "num_samples": (5000, True)},
+        {"n": (64, int), "beta": (2.0, float), "lam": (1e-3, float),
+         "half_blocksize": (8, int), "num_samples": (5000, int)},
         lambda p, seed: verify_lemma2(_poly(p, seed), p["half_blocksize"], p["num_samples"], seed),
     ),
     "theorem1": (
-        {"n": (256, True), "beta": (2.0, False), "lam": (1e-4, False),
-         "half_blocksize": (16, True), "num_top": (8, True), "trials": (100, True),
-         "iters": (2000, True)},
+        {"n": (256, int), "beta": (2.0, float), "lam": (1e-4, float),
+         "half_blocksize": (16, int), "num_top": (8, int), "trials": (100, int),
+         "iters": (2000, int)},
         lambda p, seed: verify_theorem1(_poly(p, seed), p["half_blocksize"], p["num_top"],
                                         p["trials"], p["iters"], seed),
     ),
     "linear_rate": (
-        {"n": (256, True), "beta": (2.0, False), "lam": (1e-4, False),
-         "half_blocksize": (16, True), "trials": (100, True), "iters": (512, True),
-         "projection_samples": (2000, True)},
+        {"n": (256, int), "beta": (2.0, float), "lam": (1e-4, float),
+         "half_blocksize": (16, int), "trials": (100, int), "iters": (512, int),
+         "projection_samples": (2000, int)},
         lambda p, seed: verify_linear_rate(_poly(p, seed), p["half_blocksize"], p["trials"],
                                            p["iters"], seed,
                                            projection_samples=p["projection_samples"]),
@@ -256,22 +237,16 @@ VERIFY_SUITES = {
 def cmd_verify(args):
     tree = _effective_config(args)
     run_config = RunConfig.from_dict(tree["run"])
-    seed = run_config.seed
-    section = dict(tree.get("verify", {}))
     suite = args.suite
     if suite not in VERIFY_SUITES:
         print(f"error: unknown verify suite {suite!r}", file=sys.stderr)
         return EXIT_ERROR
     table, run_suite = VERIFY_SUITES[suite]
-    unknown = sorted(f"verify.{key}" for key in set(section) - set(table))
-    if unknown:
-        raise ConfigError(f"unknown keys for verify {suite}: {', '.join(unknown)}")
-    values = section_numbers("verify", section, table)
+    values = read_section("verify", tree.get("verify", {}), table)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = run_suite(values, seed)
-
-    report.to_json(out_dir / f"report_{suite}.json")
+    report = run_suite(values, run_config.seed)
+    _write_json(out_dir / f"report_{suite}.json", report.to_dict())
     if report.gridpoints:
         report.to_csv(out_dir / f"report_{suite}.csv")
     _manifest(out_dir, f"verify:{suite}", tree, run_config, [f"report_{suite}.json"])
@@ -291,8 +266,7 @@ def cmd_bench(args):
     block = np.sort(rng.choice(n, size=blocksize, replace=False))
     W = rng.standard_normal((n, 4))
     omega = rng.standard_normal((blocksize, min(32, blocksize)))
-    counts = [w for w in (1, 2, 4, run_config.num_workers) if w <= max(4, run_config.num_workers)]
-    counts = sorted(set(counts))
+    counts = sorted({1, 2, 4, run_config.num_workers})
     ref_col = col_dist_matmul(oracle, W, block)
     ref_row = row_dist_matmul(oracle, omega, block)
     ref_full = oracle.matmul(W)
@@ -341,12 +315,7 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "solve": cmd_solve,
-        "infer": cmd_infer,
-        "verify": cmd_verify,
-        "bench": cmd_bench,
-    }
+    handlers = {"solve": cmd_solve, "infer": cmd_infer, "verify": cmd_verify, "bench": cmd_bench}
     try:
         return handlers[args.command](args)
     except (SapgpError, OSError) as exc:

@@ -1,4 +1,5 @@
-"""Run configuration: validation, file loading, and CLI overrides."""
+"""Run configuration: one table-driven reader for every config section,
+file loading, and CLI overrides."""
 
 from __future__ import annotations
 
@@ -13,40 +14,67 @@ from .kernels import FAMILIES, KernelSpec
 
 SOLVERS = ("sap", "adasap", "adasap_i", "sdd", "pcg")
 SAMPLERS = ("uniform", "kdpp")
-_INT_FIELDS = ("blocksize", "nystrom_rank", "max_iters", "seed", "num_workers", "residual_every")
-_REAL_FIELDS = ("lam", "max_passes", "mu", "nu", "stepsize_scale", "tol")
-_OPTIONAL = ("blocksize", "nystrom_rank", "max_passes", "max_iters", "tol")
-# {field: (lower bound, bound allowed)}; stepsize_scale = 0 freezes a solver
-_LOWER_BOUNDS = {
-    "lam": (0.0, False), "max_passes": (0.0, False), "max_iters": (1, True),
-    "blocksize": (1, True), "nystrom_rank": (0, True), "seed": (0, True),
-    "num_workers": (1, True), "residual_every": (0, True), "tol": (0.0, True),
-    "stepsize_scale": (0.0, True),
-}
 
 
-def _number(name, value, integral):
-    """A finite real (a whole number, returned as int, if ``integral``)."""
+def _number(name, value, integral, lower=None):
+    """A finite real (a whole number, returned as int, if ``integral``; a float
+    otherwise) that meets ``lower``, a bound such as ">= 1" or "> 0"."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
     if not abs(value) <= sys.float_info.max:
         raise ConfigError(f"{name} must be finite, got {value!r}")
-    if not integral:
-        return value
-    if value != int(value):
+    if integral and value != int(value):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value) if integral else float(value)
+    if lower is not None:
+        relation, bound = lower.split()
+        if not (value > float(bound) if relation == ">" else value >= float(bound)):
+            raise ConfigError(f"{name} must be {lower}, got {value!r}")
+    return value
 
 
-def section_numbers(section, values, table):
-    """Read each key of ``table`` ({key: (default, integral)}) from ``values``
-    through ``_number``, naming the dotted key ``section.key``; real values are
-    returned as floats."""
-    out = {}
-    for key, (default, integral) in table.items():
-        value = _number(f"{section}.{key}", values.get(key, default), integral)
-        out[key] = value if integral else float(value)
-    return out
+def _read(name, value, kind, lower=None):
+    if isinstance(kind, tuple):
+        if value in kind:
+            return value
+        if kind[-1] not in (int, float):
+            raise ConfigError(f"{name} must be one of {kind}, got {value!r}")
+        kind = kind[-1]
+    if kind is bool and not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    if kind in (int, float):
+        return _number(name, value, kind is int, lower)
+    return value
+
+
+def read_section(section, values, table):
+    """Read the config section ``values`` by ``table``: {key: (default, kind[, lower])}.
+
+    ``kind`` is int, float or bool; a tuple of allowed values, whose last entry
+    may be int or float to take numbers too; or None for a value that a loader
+    checks later. Numbers go through ``_number`` with the bound ``lower``. A key
+    missing from ``values`` takes its default unchecked. Keys outside ``table``
+    end in one ConfigError naming each; values are named ``section.key`` (the
+    bare key when ``section`` is None). Returns {key: value} for every key.
+    """
+    prefix = f"{section}." if section else ""
+    unknown = sorted(set(values) - set(table))
+    if unknown:
+        raise ConfigError("unknown config keys: " + ", ".join(prefix + key for key in unknown))
+    return {key: _read(prefix + key, values[key], kind, *lower) if key in values else default
+            for key, (default, kind, *lower) in table.items()}
+
+
+# {field: (kind, lower bound)} for read_section; stepsize_scale = 0 freezes a solver
+_RUN_FIELDS = {
+    "lam": (float, "> 0"), "blocksize": ((None, int), ">= 1"),
+    "nystrom_rank": ((None, int), ">= 0"), "max_passes": ((None, float), "> 0"),
+    "max_iters": ((None, int), ">= 1"), "solver_id": (SOLVERS, None),
+    "sampler": (SAMPLERS, None), "tail_average": (bool, None), "seed": (int, ">= 0"),
+    "num_workers": (int, ">= 1"), "mu": (("default", float), "> 0"),
+    "nu": (("default", float), "> 0"), "stepsize_scale": (float, ">= 0"),
+    "tol": ((None, float), ">= 0"), "residual_every": (int, ">= 0"),
+}
 
 
 @dataclass
@@ -68,71 +96,55 @@ class RunConfig:
     stepsize_scale: float = 10.0
     tol: float | None = None
     residual_every: int = 1
-    grad_eval_point: str = "z"
 
     def __post_init__(self):
-        for name in _INT_FIELDS + _REAL_FIELDS:
-            value = getattr(self, name)
-            if value is None and name in _OPTIONAL or value == "default" and name in ("mu", "nu"):
-                continue
-            setattr(self, name, _number(name, value, integral=name in _INT_FIELDS))
-        for name, (bound, allowed) in _LOWER_BOUNDS.items():
-            value = getattr(self, name)
-            if value is not None and not (value >= bound if allowed else value > bound):
-                relation = ">=" if allowed else ">"
-                raise ConfigError(f"{name} must be {relation} {bound}, got {value!r}")
-        if not isinstance(self.tail_average, bool):
-            raise ConfigError(f"tail_average must be true or false, got {self.tail_average!r}")
-        if self.solver_id not in SOLVERS:
-            raise ConfigError(f"solver_id must be one of {SOLVERS}")
-        if self.sampler not in SAMPLERS:
-            raise ConfigError(f"sampler must be one of {SAMPLERS}")
-        if self.grad_eval_point not in ("z", "w"):
-            raise ConfigError("grad_eval_point must be 'z' or 'w'")
+        values = {name: getattr(self, name) for name in _RUN_FIELDS}
+        table = {name: (None, *rule) for name, rule in _RUN_FIELDS.items()}
+        for name, value in read_section(None, values, table).items():
+            setattr(self, name, value)
         if self.max_passes is None and self.max_iters is None:
             raise ConfigError("need max_passes or max_iters")
-        for name in ("mu", "nu"):
-            value = getattr(self, name)
-            if value != "default" and not value > 0.0:
-                raise ConfigError(f"{name} must be positive or 'default'")
 
     def validate_for(self, n):
         """Size-dependent checks once the problem size is known."""
-        if self.blocksize is not None and self.blocksize > n:
-            raise ConfigError(f"blocksize {self.blocksize} exceeds n={n}")
-        if (
-            self.blocksize is not None
-            and self.nystrom_rank is not None
-            and self.solver_id in ("adasap", "adasap_i")
-            and self.nystrom_rank > self.blocksize
-        ):
-            raise ConfigError("nystrom_rank must not exceed blocksize")
-
-    def to_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        blocksize = resolve_blocksize(self, n)
+        if self.solver_id == "adasap":
+            resolve_rank(self, blocksize)
 
     @classmethod
     def from_dict(cls, values):
-        known = {f.name for f in fields(cls)}
-        unknown = set(values) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**values)
+        """The ``run`` section; the constructor checks each value."""
+        return cls(**read_section("run", values, {f.name: (f.default, None) for f in fields(cls)}))
+
+
+def resolve_blocksize(config, n):
+    b = config.blocksize if config.blocksize is not None else max(1, n // 100)
+    if b > n:
+        raise ConfigError(f"blocksize {b} exceeds n={n}")
+    return b
+
+
+def resolve_rank(config, blocksize):
+    r = config.nystrom_rank if config.nystrom_rank is not None else min(100, blocksize)
+    if not 1 <= r <= blocksize:
+        raise ConfigError(f"nystrom_rank {r} outside [1, {blocksize}]")
+    return r
+
+
+_KERNEL_KEYS = {"family": ("rbf", FAMILIES), "lengthscales": (1.0, None),
+                "variance": (1.0, float, "> 0")}
 
 
 def kernel_from_dict(values, d=None):
-    """Build a KernelSpec from config keys {family, lengthscales, variance}."""
-    known = {"family", "lengthscales", "variance"}
-    unknown = set(values) - known
-    if unknown:
-        raise ConfigError(f"unknown kernel keys: {sorted(unknown)}")
-    family = values.get("family", "rbf")
-    if family not in FAMILIES:
-        raise ConfigError(f"kernel family must be one of {FAMILIES}")
-    ls = np.atleast_1d(np.asarray(values.get("lengthscales", 1.0), dtype=np.float64))
+    """Build a KernelSpec from the ``kernel`` section {family, lengthscales,
+    variance}; one lengthscale is repeated over ``d`` dimensions."""
+    values = read_section("kernel", values, _KERNEL_KEYS)
+    ls = values["lengthscales"]
+    ls = np.array([_number("kernel.lengthscales", value, False, "> 0")
+                   for value in (ls if isinstance(ls, list) else [ls])])
     if d is not None and ls.size == 1 and d > 1:
         ls = np.full(d, ls[0])
-    return KernelSpec(family, ls, float(values.get("variance", 1.0)))
+    return KernelSpec(values["family"], ls, values["variance"])
 
 
 def load_config(path):
@@ -153,14 +165,11 @@ def _parse_literal(text):
         return lowered == "true"
     if lowered in ("null", "none"):
         return None
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
     return text
 
 

@@ -16,23 +16,12 @@ import numpy as np
 from .errors import ContractError, NumericalError
 from .rng import as_generator
 
-LOG_SPREAD = 1e12
 SAMPLE_CHUNK = 16  # samples whose chain rules run in lockstep
 
 
-def elementary_symmetric(values, order):
-    """Table E[l, m] = e_l(values[0..m-1]) for l <= order, m <= len(values)."""
-    values = np.asarray(values, dtype=np.float64).ravel()
-    n = values.size
-    table = np.zeros((order + 1, n + 1))
-    table[0, :] = 1.0
-    for m in range(1, n + 1):
-        table[1:, m] = table[1:, m - 1] + values[m - 1] * table[:-1, m - 1]
-    return table
-
-
 def log_elementary_symmetric(log_values, order):
-    """Log-space variant of the elementary-symmetric recursion."""
+    """Table L[l, m] = log e_l(values[0..m-1]) for l <= order, m <= len(values),
+    from the logs of the values: the elementary-symmetric recursion in log space."""
     log_values = np.asarray(log_values, dtype=np.float64).ravel()
     n = log_values.size
     table = np.full((order + 1, n + 1), -np.inf)
@@ -93,8 +82,6 @@ class DppModel:
         self.eigvals = eigvals
         self.eigvecs = eigvecs
         self.sample_size = int(sample_size)
-        self.es_table = None
-        self.log_es_table = None
         self._ratios = None
         self._half = {}
 
@@ -103,32 +90,15 @@ class DppModel:
     def _build_ratios(self):
         """Acceptance ratios R[l][m] = lam_m e_{l-1}(m-1) / e_l(m).
 
-        Built once; scale-invariant, so values are normalized by the largest
-        eigenvalue. Falls back to the log-space recursion for extreme spectra.
+        Built once from the log-space recursion, which no spread of the
+        spectrum overflows; values are normalized by the largest eigenvalue.
         """
         k = self.sample_size
         n = self.eigvals.size
-        scaled = self.eigvals / self.eigvals[0]
-        spread = self.eigvals[0] / self.eigvals[-1]
-        use_log = spread > LOG_SPREAD
-        if not use_log:
-            self.es_table = elementary_symmetric(scaled, k)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = (
-                    scaled[None, :] * self.es_table[:-1, :-1] / self.es_table[1:, 1:]
-                )
-            if not np.all(np.isfinite(ratios[self.es_table[1:, 1:] > 0.0])):
-                use_log = True
-        if use_log:
-            logs = np.log(scaled)
-            self.es_table = None
-            self.log_es_table = log_elementary_symmetric(logs, k)
-            with np.errstate(invalid="ignore"):
-                ratios = np.exp(
-                    logs[None, :]
-                    + self.log_es_table[:-1, :-1]
-                    - self.log_es_table[1:, 1:]
-                )
+        logs = np.log(self.eigvals / self.eigvals[0])
+        table = log_elementary_symmetric(logs, k)
+        with np.errstate(invalid="ignore"):
+            ratios = np.exp(logs[None, :] + table[:-1, :-1] - table[1:, 1:])
         # pad so R[l][m] indexes with 1-based l and m; force the must-take boundary
         full = np.zeros((k + 1, n + 1))
         full[1:, 1:] = np.nan_to_num(ratios, nan=0.0, posinf=0.0)

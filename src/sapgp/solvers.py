@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .config import resolve_blocksize, resolve_rank
 from .dist import WorkerPool, col_dist_matmul
 from .dist import row_dist_matmul  # noqa: F401  (re-exported; the benchmark tracer wraps it here)
 from .dpp import SAMPLE_CHUNK
@@ -206,27 +207,12 @@ class SolveResult:
 # shared plumbing
 
 
-def resolve_blocksize(config, n):
-    b = config.blocksize if config.blocksize is not None else max(1, n // 100)
-    b = int(b)
-    if not 1 <= b <= n:
-        raise ConfigError(f"blocksize {b} outside [1, {n}]")
-    return b
-
-
-def resolve_rank(config, blocksize):
-    r = config.nystrom_rank if config.nystrom_rank is not None else min(100, blocksize)
-    r = int(r)
-    if not 1 <= r <= blocksize:
-        raise ConfigError(f"nystrom_rank {r} outside [1, {blocksize}]")
-    return r
-
-
 def budget_iterations(config, passes_per_iter):
+    """``max_iters``, else enough iterations to spend ``max_passes`` (a
+    RunConfig always has one of the two)."""
     if config.max_iters is not None:
-        return int(config.max_iters)
-    passes = config.max_passes if config.max_passes is not None else 50.0
-    return max(1, math.ceil(passes / passes_per_iter))
+        return config.max_iters
+    return max(1, math.ceil(config.max_passes / passes_per_iter))
 
 
 def _as_columns(Y, n):
@@ -419,8 +405,8 @@ def adasap_prepare(oracle, config, t, identity_precond=False, kbb=None):
 def adasap_step(oracle, state, Y, config, accel, pool=None, identity_precond=False,
                 prepared=None):
     """One approximately preconditioned accelerated step: the block-row
-    product at the acceleration midpoint (or at W when ``config.grad_eval_point
-    == "w"``), then the Nesterov update of the accelerated ``state`` in place.
+    product at the extrapolated point Z, then the Nesterov update of the
+    accelerated ``state`` in place.
     ``prepared`` is ``adasap_prepare(oracle, config, state.iteration,
     identity_precond)``, computed here when not given. Returns (state,
     stepsize, block).
@@ -430,8 +416,7 @@ def adasap_step(oracle, state, Y, config, accel, pool=None, identity_precond=Fal
     if prepared is None:
         prepared = adasap_prepare(oracle, config, state.iteration, identity_precond)
     block, factor, rho, eta = prepared
-    point = state.Z if config.grad_eval_point == "z" else state.W
-    grad = col_dist_matmul(oracle, point, block, pool) + oracle.lam * point[block] - Y[block]
+    grad = col_dist_matmul(oracle, state.Z, block, pool) + oracle.lam * state.Z[block] - Y[block]
     nesterov_update(state.W, state.V, state.Z, block, apply_inv(factor, rho, grad), eta,
                     accel.beta, accel.gamma, accel.alpha, state.scratch)
     state.iteration += 1
@@ -508,7 +493,8 @@ def pcg_solve(oracle, Y, config, pool=None, on_iterate=None):
     preconditioner; standard recurrences run per right-hand side.
 
     ``nystrom_rank`` 0 gives plain CG. Stops when every column reaches the
-    tolerance (default 1e-6) or the iteration budget (default n) runs out.
+    tolerance (default 1e-6) or the iteration budget runs out: ``max_iters``,
+    else ``ceil(max_passes)`` iterations.
     Passes count one per iteration plus one for the Nystrom sketch K @ Omega.
     The matvecs and the sketch run on ``pool``.
     """
@@ -531,9 +517,7 @@ def pcg_solve(oracle, Y, config, pool=None, on_iterate=None):
         rho = 1.0
 
     tol = config.tol if config.tol is not None else 1e-6
-    total = config.max_iters if config.max_iters is not None else n
-    if config.max_iters is None and config.max_passes is not None:
-        total = max(1, math.ceil(config.max_passes))
+    total = budget_iterations(config, 1.0)
 
     X = np.zeros_like(Y2)
     R = Y2.copy()

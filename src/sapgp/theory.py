@@ -9,7 +9,6 @@ indices drawn from an exact fixed-size determinantal sampler.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -288,11 +287,6 @@ class VerificationReport:
             "gridpoints": [g.to_dict() for g in self.gridpoints],
             "details": self.details,
         }
-
-    def to_json(self, path):
-        with open(path, "w") as handle:
-            json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
 
     def to_csv(self, path):
         with open(path, "w") as handle:

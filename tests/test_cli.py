@@ -342,6 +342,43 @@ def test_verify_rejects_keys_outside_the_suite_table(tmp_path, capsys, args, key
     assert not (tmp_path / "out").exists()
 
 
+CSV = ["problem.type=csv", "problem.test_fraction=0.25"]  # problem.path is added per test
+
+
+@pytest.mark.parametrize("command,overrides,message", [
+    ("solve", ["run.bogus=1"], "unknown config keys: run.bogus"),
+    ("solve", ["run.lam=abc"], "lam must be a number"),  # run values name the bare field
+    ("solve", ["problem.bogus=1"], "unknown config keys: problem.bogus"),
+    ("solve", ["problem.n=abc"], "problem.n must be a number"),
+    ("solve", ["problem.basis=nope"], "problem.basis must be one of"),
+    ("solve", CSV + ["problem.bogus=1"], "unknown config keys: problem.bogus"),
+    ("solve", CSV + ["problem.test_fraction=abc"], "problem.test_fraction must be a number"),
+    ("solve", CSV + ["kernel.bogus=1"], "unknown config keys: kernel.bogus"),
+    ("solve", CSV + ["kernel.variance=true"], "kernel.variance must be a number"),
+    ("solve", CSV + ["kernel.variance=abc"], "kernel.variance must be a number"),
+    ("solve", CSV + ["kernel.lengthscales=abc"], "kernel.lengthscales must be a number"),
+    ("solve", CSV + ["kernel.family=nope"], "kernel.family must be one of"),
+    ("infer", CSV + ["infer.bogus=1"], "unknown config keys: infer.bogus"),
+    ("infer", CSV + ["infer.num_features=abc"], "infer.num_features must be a number"),
+    # one sample has no predictive variance: the run would write NaN columns
+    ("infer", CSV + ["infer.num_samples=1"], "infer.num_samples must be 0 or >= 2, got 1"),
+    *[(f"verify {suite}", ["verify.bogus=1"], "unknown config keys: verify.bogus")
+      for suite in sapgp.cli.VERIFY_SUITES],
+    *[(f"verify {suite}", ["verify.n=abc"], "verify.n must be a number")
+      for suite in ("lemma2", "theorem1", "linear_rate")],
+])
+def test_every_section_rejects_bad_input(tmp_path, capsys, command, overrides, message):
+    if "problem.type=csv" in overrides:
+        overrides = overrides + [f"problem.path={sine_csv(tmp_path)}"]
+    out = tmp_path / "out"
+    args = [arg for item in overrides for arg in ("--set", item)]
+    code = run_cli("--out", str(out), *args, *command.split())
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {message}")
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("suite,override", [
     ("theorem1", "verify.iters=1"), ("theorem1", "verify.trials=1"),
     ("theorem1", "verify.trials=0"), ("linear_rate", "verify.iters=1"),
