@@ -61,6 +61,11 @@ def _effective_config(args):
         run["num_workers"] = args.workers
     if args.seed is not None:
         run["seed"] = args.seed
+    # every command reads `run`; the other sections are checked here (lengthscales: d later)
+    _problem_values(tree)
+    kernel_from_dict(tree.get("kernel", {}))
+    read_section("infer", tree.get("infer", {}), INFER_KEYS)
+    read_section("verify", tree.get("verify", {}), VERIFY_KEYS)
     return tree
 
 
@@ -93,18 +98,23 @@ PROBLEM_KEYS = {
     "synthetic": {"type": (None, None), "n": (1000, int, ">= 2"), "beta": (2.0, float, "> 0"),
                   "response": ("planted", ("planted", "gaussian")),
                   "normalize": ("none", ("none", "trace")), "basis": ("haar", ("haar", "local"))},
-    "csv": {"type": (None, None), "path": (None, None), "target_column": (-1, None),
+    "csv": {"type": (None, None), "path": (None, None), "target_column": (-1, (str, int)),
             "test_fraction": (None, float)},
 }
 
 
-def _build_problem(tree, run_config):
-    """Returns (oracle, y, dataset_or_None) from the problem section."""
+def _problem_values(tree):
+    """(type, {key: value}) of the problem section."""
     section = tree.get("problem", {})
     kind = section.get("type", "synthetic")
     if kind not in tuple(PROBLEM_KEYS):
         raise ConfigError(f"unknown problem type {kind!r}")
-    values = read_section("problem", section, PROBLEM_KEYS[kind])
+    return kind, read_section("problem", section, PROBLEM_KEYS[kind])
+
+
+def _build_problem(tree, run_config):
+    """Returns (oracle, y, dataset_or_None) from the problem section."""
+    kind, values = _problem_values(tree)
     if kind == "synthetic":
         problem = SyntheticSpectrumProblem.poly(
             values["n"], values["beta"], run_config.lam, run_config.seed,
@@ -232,6 +242,8 @@ VERIFY_SUITES = {
     "nystrom": ({}, lambda p, seed: verify_nystrom(seed)),
     "pathwise": ({}, lambda p, seed: verify_pathwise(seed)),
 }
+# every key some suite reads (the suites agree on each key's kind)
+VERIFY_KEYS = {key: rule for table, _ in VERIFY_SUITES.values() for key, rule in table.items()}
 
 
 def cmd_verify(args):

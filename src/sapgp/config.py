@@ -35,7 +35,7 @@ def _number(name, value, integral, lower=None):
 
 def _read(name, value, kind, lower=None):
     if isinstance(kind, tuple):
-        if value in kind:
+        if value in kind or str in kind and isinstance(value, str):
             return value
         if kind[-1] not in (int, float):
             raise ConfigError(f"{name} must be one of {kind}, got {value!r}")
@@ -50,9 +50,9 @@ def _read(name, value, kind, lower=None):
 def read_section(section, values, table):
     """Read the config section ``values`` by ``table``: {key: (default, kind[, lower])}.
 
-    ``kind`` is int, float or bool; a tuple of allowed values, whose last entry
-    may be int or float to take numbers too; or None for a value that a loader
-    checks later. Numbers go through ``_number`` with the bound ``lower``. A key
+    ``kind`` is int, float or bool; a tuple of allowed values, taking any string too
+    if it holds str and numbers if it ends in int or float; or None for a value that
+    a loader checks later. Numbers go through ``_number`` with the bound ``lower``. A key
     missing from ``values`` takes its default unchecked. Keys outside ``table``
     end in one ConfigError naming each; values are named ``section.key`` (the
     bare key when ``section`` is None). Returns {key: value} for every key.

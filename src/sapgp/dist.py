@@ -129,7 +129,7 @@ def col_dist_matmul(oracle, W, block, pool=None):
 
     def task(i):
         start, stop = tiles[i]
-        return oracle.tile(block, np.arange(start, stop)) @ W2[start:stop]
+        return oracle.tile(block, range(start, stop)) @ W2[start:stop]
 
     out = np.zeros((block.size, W2.shape[1]))
     for part in _ordered(pool, len(tiles), task):

@@ -20,6 +20,9 @@ DENSE_LIMIT = 4096
 
 _SQRT3 = math.sqrt(3.0)
 _SQRT5 = math.sqrt(5.0)
+# The column operand carries a scale s, so the GEMM gives s times the squared
+# distances: -0.5 (a power of two, so exact) puts rbf's exponent in the GEMM.
+_SCALE = {"rbf": -0.5, "matern32": 1.0, "matern52": 1.0}
 
 
 @dataclass(frozen=True)
@@ -54,54 +57,55 @@ def _scale(spec, X):
 
 
 def _family_values(family, variance, sq):
-    """Kernel values from scaled squared distances (clamped at zero).
+    """Kernel values from scaled squared distances ``sq`` (clamped at zero), in place,
+    bitwise those of the closed forms ``variance*exp(-0.5*sq)``,
+    ``(variance*(1+arg))*exp(-arg)`` and ``(variance*((1+arg)+(5/3)*sq))*exp(-arg)``."""
+    sq *= _SCALE[family]
+    return _gemm_values(family, variance, sq)
 
-    Works in place: ``sq`` is overwritten and returned. Each family keeps the
-    operation order of its closed form, ``variance*exp(-0.5*sq)``,
-    ``(variance*(1+arg))*exp(-arg)`` and
-    ``(variance*((1+arg)+(5/3)*sq))*exp(-arg)``, so the values are bitwise
-    those of the out-of-place expressions.
-    """
-    np.maximum(sq, 0.0, out=sq)
+
+def _gemm_values(family, variance, t):
+    """``_family_values`` of ``t = s * sq`` (s from ``_SCALE``), in place, with the
+    same bits: rbf's ``-0.5*max(sq, 0)`` is ``min(t, 0)`` exactly, and a variance
+    of exactly 1.0 multiplies nothing, so its pass is skipped."""
     if family == "rbf":
-        sq *= -0.5
-        np.exp(sq, out=sq)
-        sq *= variance
-        return sq
-    if family == "matern32":
-        np.sqrt(sq, out=sq)
-        sq *= _SQRT3
-        decay = np.negative(sq)
-        np.exp(decay, out=decay)
-        sq += 1.0
-        sq *= variance
-        sq *= decay
-        return sq
-    arg = np.sqrt(sq)
-    arg *= _SQRT5
-    decay = np.negative(arg)
-    np.exp(decay, out=decay)
-    arg += 1.0
-    sq *= 5.0 / 3.0
-    sq += arg
-    sq *= variance
-    sq *= decay
-    return sq
+        np.minimum(t, 0.0, out=t)
+        np.exp(t, out=t)
+        return t if variance == 1.0 else np.multiply(t, variance, out=t)
+    if family == "matern32":  # -arg first: 1 - (-arg) is 1 + arg exactly
+        np.maximum(t, 0.0, out=t)
+        np.sqrt(t, out=t)
+        t *= -_SQRT3
+        decay = np.exp(t)
+        np.subtract(1.0, t, out=t)
+    else:
+        arg = np.sqrt(np.maximum(t, 0.0, out=t))
+        arg *= -_SQRT5
+        decay = np.exp(arg)
+        np.subtract(1.0, arg, out=arg)
+        t *= 5.0 / 3.0
+        t += arg
+    if variance != 1.0:
+        t *= variance
+    t *= decay
+    return t
 
 
 def _augment(spec, X):
-    """Scaled points ``z = X / lengthscales`` as rows ``[z, |z|^2, 1]``."""
+    """GEMM operands of the scaled points ``z = X / lengthscales``: rows ``a = [z, |z|^2, 1]``
+    and columns ``c = s * [-2z, 1, |z|^2]`` (s from ``_SCALE``), so ``a @ c.T`` is s * sq."""
     z = _scale(spec, X)
     norms = np.einsum("ij,ij->i", z, z)[:, None]
-    return np.hstack([z, norms, np.ones_like(norms)])
+    a = np.hstack([z, norms, np.ones_like(norms)])
+    s = _SCALE[spec.family]
+    c = a * (-2.0 * s)
+    c[:, -2:] = a[:, :-3:-1] * s  # [1, |z|^2]: the last two columns of a, reversed
+    return a, c
 
 
-def _values(spec, a, b, out=None):
-    """k between augmented points: ``a @ [-2z, 1, |z|^2].T`` (right side formed from
-    ``b``) is the squared distance matrix in one GEMM into ``out``, turned into k in place."""
-    rhs = b * -2.0
-    rhs[:, -2:] = b[:, :-3:-1]  # [1, |z|^2]: the last two columns of b, reversed
-    return _family_values(spec.family, spec.variance, np.matmul(a, rhs.T, out=out))
+def _values(spec, a, c, out=None):
+    """k between rows ``a`` and columns ``c``: one GEMM into ``out``, transformed in place."""
+    return _gemm_values(spec.family, spec.variance, np.matmul(a, c.T, out=out))
 
 
 def kernel_eval(spec, x, y):
@@ -117,9 +121,22 @@ def kernel_eval(spec, x, y):
     return float(_family_values(spec.family, spec.variance, sq)[0, 0])
 
 
+def _key(index, n):
+    """``(key, lo, hi)``: a unit-step range as a slice (a view), else an index array (a
+    gather), spanning ``lo..hi`` (``hi < lo`` if empty); an index outside [0, n) raises."""
+    if isinstance(index, range) and index.step == 1:
+        index, lo, hi = slice(index.start, index.stop), index.start, index.stop - 1
+    else:
+        index = np.asarray(index, dtype=np.intp)
+        lo, hi = (index.min(), index.max()) if index.size else (0, -1)
+    if lo <= hi and (lo < 0 or hi >= n):
+        raise ContractError("tile index out of range")
+    return index, lo, hi
+
+
 def cross_kernel(spec, Xa, Xb):
     """Dense cross matrix k(Xa, Xb)."""
-    return _values(spec, _augment(spec, Xa), _augment(spec, Xb))
+    return _values(spec, _augment(spec, Xa)[0], _augment(spec, Xb)[1])
 
 
 class KernelOracle:
@@ -139,25 +156,28 @@ class KernelOracle:
         self.spec = spec
         self.X = X
         self.lam = float(lam)
-        self._aug = _augment(spec, X)
+        self._aug, self._col = _augment(spec, X)
 
     @property
     def n(self):
         return self.X.shape[0]
 
     def tile(self, rows, cols, out=None):
-        """Dense K[rows, cols] by one GEMM, into ``out`` if given; an index outside [0, n)
-        raises. Equal row/col indices give the variance exactly: on the diagonal when
-        ``rows is cols`` strictly increases (a sorted ``block``), else among rows in cols' span."""
-        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-        lo, hi = (cols.min(), cols.max()) if cols.size else (0, -1)
-        if lo < 0 or hi >= self.n or rows.size and (rows.min() < 0 or rows.max() >= self.n):
-            raise ContractError("tile index out of range")
-        out = _values(self.spec, self._aug[rows], self._aug[cols], out)
+        """Dense K[rows, cols] (index arrays or ranges) by one GEMM, into ``out`` if given.
+        Equal row/col indices give the variance exactly: on the diagonal when ``rows is
+        cols`` strictly increases (a sorted ``block``), else for each row r in cols' span
+        ``lo..hi``, at column ``r - lo`` of a range or by comparison with an array."""
+        rows, _, _ = _key(rows, self.n)
+        cols, lo, hi = _key(cols, self.n)
+        out = _values(self.spec, self._aug[rows], self._col[cols], out)
+        rows = np.arange(rows.start, rows.stop) if isinstance(rows, slice) else rows
         if rows is cols and np.all(rows[1:] > rows[:-1]):
             np.fill_diagonal(out, self.spec.variance)
+            return out
+        hit = np.flatnonzero((rows >= lo) & (rows <= hi))
+        if isinstance(cols, slice):
+            out[hit, rows[hit] - lo] = self.spec.variance
         else:
-            hit = np.flatnonzero((rows >= lo) & (rows <= hi))
             i, j = np.nonzero(rows[hit, None] == cols[None, :])
             out[hit[i], j] = self.spec.variance
         return out
@@ -201,9 +221,8 @@ class KernelOracle:
             acc = np.zeros_like(M2)
             for i in sorted({k, count - 1 - k}):
                 start, stop = tiles[i]
-                rows = np.arange(start, stop)
                 for cstart, cstop in tiles[i:]:
-                    tile = self.tile(rows, np.arange(cstart, cstop))
+                    tile = self.tile(range(start, stop), range(cstart, cstop))
                     acc[start:stop] += tile @ M2[cstart:cstop]
                     if cstart != start:
                         acc[cstart:cstop] += tile.T @ M2[start:stop]
@@ -219,10 +238,10 @@ class KernelOracle:
         W = np.asarray(W, dtype=np.float64)
         if W.shape[:1] != (self.n,):
             raise ContractError("W must have n rows")
-        zs = _augment(self.spec, Xstar)
+        zs = _augment(self.spec, Xstar)[0]
         out = np.zeros(zs.shape[:1] + W.shape[1:])
         for start, stop in dist.tile_ranges(self.n):
-            out += _values(self.spec, zs, self._aug[start:stop]) @ W[start:stop]
+            out += _values(self.spec, zs, self._col[start:stop]) @ W[start:stop]
         return out
 
 
@@ -245,11 +264,11 @@ class DenseOracle:
         return self.K.shape[0]
 
     def tile(self, rows, cols):
-        """K[rows, cols]; an ascending in-range run of ``cols`` is served as a slice."""
-        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-        if cols.size and np.all(np.diff(cols) == 1) and 0 <= cols[0] and cols[-1] < self.n:
-            return self.K[rows, cols[0]:cols[-1] + 1]
-        return self.K[np.ix_(rows, cols)]
+        """A copy of K[rows, cols]; an in-range unit-step ``range`` of cols is read as a slice."""
+        rows = np.asarray(rows, dtype=np.intp)
+        if isinstance(cols, range) and cols.step == 1 and 0 <= cols.start <= cols.stop <= self.n:
+            return self.K[rows, cols.start:cols.stop]
+        return self.K[np.ix_(rows, np.asarray(cols, dtype=np.intp))]
 
     def block(self, block, out=None):
         block = dist.check_indices(block, self.n)

@@ -366,6 +366,12 @@ CSV = ["problem.type=csv", "problem.test_fraction=0.25"]  # problem.path is adde
       for suite in sapgp.cli.VERIFY_SUITES],
     *[(f"verify {suite}", ["verify.n=abc"], "verify.n must be a number")
       for suite in ("lemma2", "theorem1", "linear_rate")],
+    # sections the command does not read are checked too
+    ("solve", ["problem.n=50", "kernel.bogus=1"], "unknown config keys: kernel.bogus"),
+    ("solve", ["problem.n=50", "infer.num_samples=abc"], "infer.num_samples must be a number"),
+    ("solve", ["problem.n=50", "verify.bogus=1"], "unknown config keys: verify.bogus"),
+    ("verify nystrom", ["problem.bogus=1"], "unknown config keys: problem.bogus"),
+    ("verify nystrom", ["kernel.variance=abc"], "kernel.variance must be a number"),
 ])
 def test_every_section_rejects_bad_input(tmp_path, capsys, command, overrides, message):
     if "problem.type=csv" in overrides:
@@ -377,6 +383,25 @@ def test_every_section_rejects_bad_input(tmp_path, capsys, command, overrides, m
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {message}")
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("value,message", [
+    ("1.5", "must be an integer"), ("true", "must be a number"), ("null", "must be a number"),
+    ("y", None), ("-1", None), ("0", None),
+])
+def test_target_column_is_a_name_or_an_integer(tmp_path, capsys, value, message):
+    out = tmp_path / "out"
+    overrides = CSV + [f"problem.path={sine_csv(tmp_path)}", f"problem.target_column={value}",
+                       "run.solver_id=pcg", "run.max_iters=5"]
+    code = run_cli("--out", str(out), *[arg for item in overrides for arg in ("--set", item)],
+                   "solve")
+    err = capsys.readouterr().err.strip().splitlines()
+    if message is None:  # 0 takes x as the target, "y" and -1 take y
+        assert code == 0 and err == []
+    else:
+        assert code == 1 and err == [f"error: problem.target_column {message}, got "
+                                     + {"1.5": "1.5", "true": "True", "null": "None"}[value]]
+        assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("suite,override", [

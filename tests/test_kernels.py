@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sapgp import ContractError, KernelOracle, KernelSpec, WorkerPool, col_dist_matmul, kernel_eval
-from sapgp.dist import TILE
+from sapgp.dist import TILE, tile_ranges
 from sapgp.kernels import DenseOracle, _family_values, cross_kernel
 
 
@@ -340,3 +340,88 @@ def test_dense_oracle_block_is_the_gather_and_fills_a_buffer():
         assert np.array_equal(oracle.block(B), (gathered.T + gathered) * 0.5)
         buffer = np.full((4, 4), np.nan)
         assert oracle.block(B, buffer) is buffer and np.array_equal(buffer, gathered)
+
+
+def parent_tile_sq(aug, rows, cols):
+    """The earlier per-tile GEMM: the column operand ``[-2z, 1, |z|^2]`` formed from
+    the gathered ``[z, |z|^2, 1]`` rows on every call; kept as the reference."""
+    b = aug[cols]
+    rhs = b * -2.0
+    rhs[:, -2:] = b[:, :-3:-1]
+    return aug[rows] @ rhs.T
+
+
+@pytest.mark.parametrize("family", ["rbf", "matern32", "matern52"])
+@pytest.mark.parametrize("variance", [1.0, 1.7])
+@pytest.mark.parametrize("n", [TILE - 1, TILE, TILE + 1, 2 * TILE + 1])
+def test_range_tile_is_the_index_array_tile(family, variance, n):
+    rng = np.random.default_rng(18)
+    oracle = KernelOracle(KernelSpec(family, np.array([0.9, 1.4]), variance),
+                          rng.standard_normal((n, 2)) * 3.0, 0.1)
+    spans = [range(start, stop) for start, stop in tile_ranges(n)] + [range(n // 3, n - 5)]
+    for cols in spans:
+        ends = [cols.start, cols.stop - 1] + [i for i in (cols.start - 1, cols.stop) if 0 <= i < n]
+        for rows in (np.sort(rng.choice(n, 40, replace=False)), rng.permutation(n)[:40],
+                     range(n // 4, n // 4 + 60), np.union1d(ends, rng.choice(n, 9)),
+                     rng.permutation(np.union1d(ends, rng.choice(n, 9)))):
+            tile = oracle.tile(rows, cols)
+            rows_array, cols_array = np.asarray(rows), np.asarray(cols)
+            assert np.array_equal(tile, oracle.tile(rows_array, cols_array))
+            equal = rows_array[:, None] == cols_array[None, :]
+            assert np.all(tile[equal] == variance) and np.all(tile[~equal] < variance)
+            if family == "rbf":  # min(t, 0) on the GEMM's -0.5 * sq: the parent's bits
+                sq = parent_tile_sq(oracle._aug, rows_array, cols_array)
+                ref = variance * np.exp(-0.5 * np.maximum(sq, 0.0))
+                ref[equal] = variance
+                assert np.array_equal(tile, ref)
+
+
+def test_tile_rejects_ranges_outside_the_points():
+    n, k = 300, 17
+    oracle = KernelOracle(rbf_spec(), np.random.default_rng(0).standard_normal((n, 2)), 0.1)
+    for bad in (range(-1, k), range(0, n + 1)):
+        with pytest.raises(ContractError, match="out of range"):
+            oracle.tile(bad, range(k))
+        with pytest.raises(ContractError, match="out of range"):
+            oracle.tile(np.arange(k), bad)
+    assert oracle.tile(range(n - 1, n), range(0, 0)).shape == (1, 0)
+    assert oracle.tile(range(0, n), range(n - 1, n))[n - 1, 0] == 1.0
+
+
+def test_products_hand_tile_ranges(monkeypatch):
+    rng = np.random.default_rng(19)
+    n = 2 * TILE + 1
+    oracle = KernelOracle(rbf_spec(var=1.7), rng.standard_normal((n, 2)), 0.1)
+    W = rng.standard_normal((n, 2))
+    block = np.sort(rng.choice(n, 50, replace=False))
+    expected = (col_dist_matmul(oracle, W, block), oracle.matmul(W))
+    calls = []
+    tile = KernelOracle.tile
+
+    def spy(self, rows, cols, out=None):
+        calls.append((type(rows), type(cols), len(rows) * len(cols)))
+        return tile(self, rows, cols, out)
+
+    monkeypatch.setattr(KernelOracle, "tile", spy)
+    assert np.array_equal(col_dist_matmul(oracle, W, block), expected[0])
+    assert calls == [(np.ndarray, range, 50 * (stop - start))
+                     for start, stop in tile_ranges(n)]
+    calls.clear()
+    assert np.array_equal(oracle.matmul(W), expected[1])
+    assert len(calls) == 6 and all(call[:2] == (range, range) for call in calls)
+    assert sum(call[2] for call in calls) == (n * n + sum(
+        (stop - start) ** 2 for start, stop in tile_ranges(n))) // 2
+
+
+def test_dense_oracle_range_tile_is_a_copy_of_the_slice():
+    rng = np.random.default_rng(20)
+    G = rng.standard_normal((40, 40))
+    oracle = DenseOracle(G @ G.T, 0.1)
+    rows = rng.permutation(40)[:13]
+    before = oracle.K.copy()
+    tile = oracle.tile(rows, range(7, 31))
+    assert np.array_equal(tile, before[np.ix_(rows, np.arange(7, 31))])
+    tile[:] = 0.0
+    assert np.array_equal(oracle.K, before)
+    with pytest.raises(IndexError):  # past the end: the gather's error, as for index arrays
+        oracle.tile(rows, range(35, 41))
