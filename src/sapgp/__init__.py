@@ -12,14 +12,21 @@ subspace-convergence behavior empirically.
 __version__ = "0.1.0"
 
 import os as _os
+import sys as _sys
 
 # Block-iterative solvers issue many small BLAS calls; a multi-threaded BLAS
 # oversubscribes the package's own worker pool and slows those calls badly.
 # Respected only if numpy has not been imported yet and the user has not set
-# their own thread counts.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+# their own thread counts; numpy loaded first with none of them set warns.
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" in _sys.modules and not any(_var in _os.environ for _var in _BLAS_VARS):
+    import warnings as _warnings
+
+    _warnings.warn("numpy was imported before sapgp, so BLAS keeps its default thread count; "
+                   "set OPENBLAS_NUM_THREADS=1 or import sapgp first", RuntimeWarning, stacklevel=2)
+for _var in _BLAS_VARS:
     _os.environ.setdefault(_var, "1")
-del _os, _var
+del _os, _sys, _var, _BLAS_VARS
 
 from .config import RunConfig
 from .data import Dataset, load_csv, standardize, train_test_split
@@ -48,7 +55,6 @@ from .randnla import NystromFactor, apply_inv, apply_inv_plain, apply_inv_sqrt, 
 from .solvers import (
     AccelParams,
     SolveResult,
-    SolverState,
     adasap_solve,
     adasap_step,
     nesterov_update,

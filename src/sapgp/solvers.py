@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .config import resolve_blocksize, resolve_rank
+from .config import SAMPLERS, resolve_blocksize, resolve_rank
 from .dist import WorkerPool, col_dist_matmul
 from .dist import row_dist_matmul  # noqa: F401  (re-exported; the benchmark tracer wraps it here)
 from .dpp import SAMPLE_CHUNK
@@ -58,9 +58,9 @@ class AccelParams:
         return 1.0 / (1.0 + self.gamma * self.nu)
 
 
-def resolve_accel(config, n, blocksize):
-    """Defaults: mu = lam, nu = n / blocksize."""
-    mu = config.lam if config.mu == "default" else float(config.mu)
+def resolve_accel(config, lam, n, blocksize):
+    """Defaults: mu = lam, the system's regularizer, and nu = n / blocksize."""
+    mu = lam if config.mu == "default" else float(config.mu)
     nu = n / blocksize if config.nu == "default" else float(config.nu)
     return AccelParams(mu, nu)
 
@@ -92,7 +92,7 @@ def nesterov_update(W, V, Z, block, direction, eta, beta, gamma, alpha, scratch)
 
 
 # ---------------------------------------------------------------------------
-# traces, tail averaging, state
+# traces, tail averaging, results
 
 
 @dataclass
@@ -176,25 +176,6 @@ class TailAverager:
 
 
 @dataclass
-class SolverState:
-    """Iterate triple; V and Z alias W whenever acceleration is off. An
-    accelerated state also carries the in-place Nesterov update's scratch."""
-
-    W: np.ndarray
-    V: np.ndarray
-    Z: np.ndarray
-    iteration: int = 0
-    scratch: np.ndarray | None = None
-
-    @classmethod
-    def zeros(cls, n, m, accelerated=False):
-        W = np.zeros((n, m))
-        if accelerated:
-            return cls(W, W.copy(), W.copy(), scratch=np.empty_like(W))
-        return cls(W, W, W)
-
-
-@dataclass
 class SolveResult:
     W: np.ndarray
     trace: ConvergenceTrace
@@ -241,14 +222,14 @@ def _due(every, t, total):
     return t == total - 1 or every > 0 and (t + 1) % every == 0
 
 
-def _drive(oracle, Y2, vector, config, blocksize, prepare, step, current, on_iterate,
-           total=None, tail_average=False, pool=None):
+def _drive(oracle, Y2, vector, config, blocksize, total, prepare, step, iterate, on_iterate,
+           tail_average=False, pool=None):
     """The block-iteration loop shared by sap, adasap, adasap_i and sdd.
 
     ``prepare(t)`` returns what iteration t's block alone decides (never
     using the iterate or the pool); calls run one at a time, in order.
-    ``step(t, prepared)`` runs iteration t and returns its stepsize;
-    ``current()`` returns the iterate. On a pool of more than one worker,
+    ``step(prepared)`` runs the iteration, updating the array ``iterate`` in
+    place, and returns its stepsize. On a pool of more than one worker,
     ``prepare(t+1)`` runs on the pool while step t runs; a stop discards it,
     and its exception is raised where step t+1 would run. A non-finite
     iterate after any step (recorded as an infinite residual) or a residual
@@ -258,8 +239,6 @@ def _drive(oracle, Y2, vector, config, blocksize, prepare, step, current, on_ite
     full product on ``pool``.
     """
     n = oracle.n
-    if total is None:
-        total = budget_iterations(config, blocksize / n)
     averager = TailAverager(total, Y2.shape) if tail_average else None
     ynorm = max(np.linalg.norm(Y2), np.finfo(np.float64).tiny)
     trace = ConvergenceTrace()
@@ -269,7 +248,7 @@ def _drive(oracle, Y2, vector, config, blocksize, prepare, step, current, on_ite
     def reported():
         if averager is not None and averager.count > 0:
             return averager.average()
-        return current()
+        return iterate
 
     ahead = pool is not None and pool.num_workers > 1
     pending = None
@@ -277,15 +256,14 @@ def _drive(oracle, Y2, vector, config, blocksize, prepare, step, current, on_ite
         for t in range(total):
             prepared = prepare(t) if pending is None else pending.result()
             pending = pool.submit(prepare, t + 1) if ahead and t + 1 < total else None
-            stepsize = step(t, prepared)
+            stepsize = step(prepared)
             iters_done = t + 1
-            W = current()
             if averager is not None:
-                averager.add(iters_done, W)
+                averager.add(iters_done, iterate)
             if on_iterate is not None:
-                on_iterate(iters_done, W)
+                on_iterate(iters_done, iterate)
             relres = math.nan
-            if not np.isfinite(W).all():
+            if not np.isfinite(iterate).all():
                 relres = math.inf
             elif _due(config.residual_every, t, total):
                 relres = _relative_residual(oracle, reported(), Y2, ynorm, pool)
@@ -319,31 +297,27 @@ def sap_factor(oracle, block):
         ) from exc
 
 
-def sap_step(oracle, state, block, Y, pool=None, chol=None):
+def sap_step(oracle, W, Y, block, chol, pool=None):
     """One exact projection step: zeroes the block rows of the residual.
 
     Solves (K[B,B] + lam I) d = (K[B,:] + lam I[B,:]) W - Y[B] and subtracts
     d from the block rows of W in place. ``chol`` is ``sap_factor(oracle,
-    block)``, computed here when not given.
+    block)``.
     """
-    if chol is None:
-        chol = sap_factor(oracle, block)
-    W = state.W
     grad = col_dist_matmul(oracle, W, block, pool) + oracle.lam * W[block] - Y[block]
     W[block] -= scipy.linalg.cho_solve(chol, grad)
-    state.iteration += 1
-    return state
 
 
-def sap_solve(oracle, Y, config, sampler="uniform", dpp_model=None, pool=None, on_iterate=None):
+def sap_solve(oracle, Y, config, dpp_model=None, pool=None, on_iterate=None):
     """Exact sketch-and-project from W0 = 0 with optional tail averaging.
 
-    ``sampler`` is "uniform" (without replacement) or "kdpp" (requires an
-    exact ``dpp_model`` whose sample size plays the role of the blocksize).
+    ``config.sampler`` is "uniform" (without replacement) or "kdpp" (requires
+    an exact ``dpp_model`` whose sample size plays the role of the blocksize).
     """
     n = oracle.n
     Y2, vector = _as_columns(Y, n)
-    if sampler not in ("uniform", "kdpp"):
+    sampler = config.sampler
+    if sampler not in SAMPLERS:
         raise ConfigError(f"unknown sampler {sampler!r}")
     if sampler == "kdpp":
         if dpp_model is None:
@@ -354,7 +328,7 @@ def sap_solve(oracle, Y, config, sampler="uniform", dpp_model=None, pool=None, o
     else:
         blocksize = resolve_blocksize(config, n)
     total = budget_iterations(config, blocksize / n)
-    state = SolverState.zeros(n, Y2.shape[1], accelerated=False)
+    W = np.zeros((n, Y2.shape[1]))
     drawn = []
 
     def prepare(t):
@@ -368,32 +342,31 @@ def sap_solve(oracle, Y, config, sampler="uniform", dpp_model=None, pool=None, o
             block = drawn[t % SAMPLE_CHUNK]
         return block, sap_factor(oracle, block)
 
-    def step(t, prepared):
-        sap_step(oracle, state, prepared[0], Y2, pool, prepared[1])
+    def step(prepared):
+        sap_step(oracle, W, Y2, *prepared, pool)
         return 1.0
 
-    return _drive(oracle, Y2, vector, config, blocksize, prepare, step, lambda: state.W,
-                  on_iterate, total=total, tail_average=config.tail_average, pool=pool)
+    return _drive(oracle, Y2, vector, config, blocksize, total, prepare, step, W, on_iterate,
+                  tail_average=config.tail_average, pool=pool)
 
 
 # ---------------------------------------------------------------------------
 # approximate accelerated sketch-and-project
 
 
-def adasap_prepare(oracle, config, t, identity_precond=False, kbb=None):
+def adasap_prepare(oracle, config, t, blocksize, rank, kbb):
     """What iteration t's block alone decides: (block, factor, rho, stepsize).
 
-    Phases: uniform block; K[B,B] (into the b x b buffer ``kbb`` if given);
-    sketch K[B,B] @ Omega; Nystrom factor with damping S_r + lam; powering.
+    Phases: uniform block; K[B,B] into the b x b buffer ``kbb``; sketch
+    K[B,B] @ Omega; Nystrom factor with damping S_r + lam; powering. Rank 0
+    is the identity preconditioner (ADASAP-I): no sketch, rho = 1.
     """
     n, lam = oracle.n, oracle.lam
-    blocksize = resolve_blocksize(config, n)
     block = _uniform_block(config.seed, t, n, blocksize)
     Kbb = oracle.block(block, kbb)
-    if identity_precond:
+    if rank == 0:
         factor, rho = NystromFactor.empty(blocksize), 1.0
     else:
-        rank = resolve_rank(config, blocksize)
         omega = substream(config.seed, "omega", t).standard_normal((blocksize, rank))
         factor = rand_nystrom_retry(Kbb @ omega, omega, rank)
         rho = float(factor.S[-1]) + lam
@@ -402,25 +375,17 @@ def adasap_prepare(oracle, config, t, identity_precond=False, kbb=None):
     return block, factor, rho, eta
 
 
-def adasap_step(oracle, state, Y, config, accel, pool=None, identity_precond=False,
-                prepared=None):
+def adasap_step(oracle, W, V, Z, scratch, Y, prepared, accel, pool=None):
     """One approximately preconditioned accelerated step: the block-row
-    product at the extrapolated point Z, then the Nesterov update of the
-    accelerated ``state`` in place.
-    ``prepared`` is ``adasap_prepare(oracle, config, state.iteration,
-    identity_precond)``, computed here when not given. Returns (state,
-    stepsize, block).
+    product at the extrapolated point Z, then the Nesterov update of W, V
+    and Z in place (``nesterov_update``, which needs four distinct arrays).
+    ``prepared`` is ``adasap_prepare``'s tuple. Returns the stepsize.
     """
-    if state.scratch is None:
-        raise ContractError("adasap needs an accelerated state with a scratch array")
-    if prepared is None:
-        prepared = adasap_prepare(oracle, config, state.iteration, identity_precond)
     block, factor, rho, eta = prepared
-    grad = col_dist_matmul(oracle, state.Z, block, pool) + oracle.lam * state.Z[block] - Y[block]
-    nesterov_update(state.W, state.V, state.Z, block, apply_inv(factor, rho, grad), eta,
-                    accel.beta, accel.gamma, accel.alpha, state.scratch)
-    state.iteration += 1
-    return state, eta, block
+    grad = col_dist_matmul(oracle, Z, block, pool) + oracle.lam * Z[block] - Y[block]
+    nesterov_update(W, V, Z, block, apply_inv(factor, rho, grad), eta,
+                    accel.beta, accel.gamma, accel.alpha, scratch)
+    return eta
 
 
 def adasap_solve(oracle, Y, config, identity_precond=False, pool=None, on_iterate=None,
@@ -435,16 +400,16 @@ def adasap_solve(oracle, Y, config, identity_precond=False, pool=None, on_iterat
     Y2, vector = _as_columns(Y, n)
     blocksize = resolve_blocksize(config, n)
     if accel is None:
-        accel = resolve_accel(config, n, blocksize)
-    state = SolverState.zeros(n, Y2.shape[1], accelerated=True)
+        accel = resolve_accel(config, oracle.lam, n, blocksize)
+    rank = 0 if identity_precond else resolve_rank(config, blocksize)
+    total = budget_iterations(config, blocksize / n)
+    W = np.zeros((n, Y2.shape[1]))
+    V, Z, scratch = W.copy(), W.copy(), np.empty_like(W)
     kbb = np.empty((blocksize, blocksize))  # preparations never overlap: one buffer serves all
-
-    def step(t, prepared):
-        return adasap_step(oracle, state, Y2, config, accel, pool, identity_precond, prepared)[1]
-
-    return _drive(oracle, Y2, vector, config, blocksize,
-                  lambda t: adasap_prepare(oracle, config, t, identity_precond, kbb), step,
-                  lambda: state.W, on_iterate, tail_average=config.tail_average, pool=pool)
+    return _drive(oracle, Y2, vector, config, blocksize, total,
+                  lambda t: adasap_prepare(oracle, config, t, blocksize, rank, kbb),
+                  lambda prepared: adasap_step(oracle, W, V, Z, scratch, Y2, prepared, accel, pool),
+                  W, on_iterate, tail_average=config.tail_average, pool=pool)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +435,7 @@ def sdd_solve(oracle, Y, config, pool=None, on_iterate=None):
     velocity = np.zeros_like(Y2)
     estimate = np.zeros_like(Y2)
 
-    def step(t, block):
+    def step(block):
         with np.errstate(over="ignore", invalid="ignore"):
             grad = col_dist_matmul(oracle, w, block, pool) + lam * w[block] - Y2[block]
             velocity[...] *= SDD_MOMENTUM
@@ -479,9 +444,9 @@ def sdd_solve(oracle, Y, config, pool=None, on_iterate=None):
             estimate[...] += avg_weight * (w - estimate)
         return eta
 
-    return _drive(oracle, Y2, vector, config, blocksize,
+    return _drive(oracle, Y2, vector, config, blocksize, total,
                   lambda t: _uniform_block(config.seed, t, n, blocksize), step,
-                  lambda: estimate, on_iterate, total=total, pool=pool)
+                  estimate, on_iterate, pool=pool)
 
 
 # ---------------------------------------------------------------------------
@@ -565,10 +530,8 @@ def solve(oracle, Y, config, dpp_model=None, pool=None, on_iterate=None):
         own_pool = pool = WorkerPool(config.num_workers)
     try:
         if config.solver_id == "sap":
-            return sap_solve(
-                oracle, Y, config, sampler=config.sampler, dpp_model=dpp_model,
-                pool=pool, on_iterate=on_iterate,
-            )
+            return sap_solve(oracle, Y, config, dpp_model=dpp_model, pool=pool,
+                             on_iterate=on_iterate)
         if config.solver_id == "adasap":
             return adasap_solve(oracle, Y, config, pool=pool, on_iterate=on_iterate)
         if config.solver_id == "adasap_i":

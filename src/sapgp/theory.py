@@ -214,14 +214,7 @@ def _trial_iterates(problem, model, grid, trial_seed, tail, sampler="kdpp", bloc
         residual_every=0,
         seed=trial_seed,
     )
-    sap_solve(
-        problem.oracle,
-        problem.y,
-        config,
-        sampler=sampler,
-        dpp_model=model,
-        on_iterate=on_iterate,
-    )
+    sap_solve(problem.oracle, problem.y, config, dpp_model=model, on_iterate=on_iterate)
     if tail:
         return [(snapshots[t - 1] - snapshots[t // 2 - 1]) * (2.0 / t) for t in grid]
     return [snapshots[t] for t in grid]

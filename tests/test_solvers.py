@@ -6,6 +6,7 @@ import pytest
 
 from sapgp import (
     AccelParams,
+    ConfigError,
     ContractError,
     DenseOracle,
     KernelOracle,
@@ -26,7 +27,7 @@ from sapgp import (
 from sapgp.dist import TILE
 from sapgp.randnla import rand_power_stepsize
 from sapgp.rng import substream
-from sapgp.solvers import SolverState, TailAverager, resolve_accel
+from sapgp.solvers import TailAverager, adasap_prepare, resolve_accel, sap_factor
 from sapgp.theory import SyntheticSpectrumProblem
 
 
@@ -153,38 +154,44 @@ def test_tail_average_empty_window():
 # exact sketch-and-project
 
 
+def exact_step(oracle, W, Y, block):
+    sap_step(oracle, W, Y, block, sap_factor(oracle, block))
+
+
 def test_sap_full_block_is_direct_solve():
     oracle, rng = rbf_oracle(30, 0.3)
     Y = rng.standard_normal((30, 2))
-    state = SolverState.zeros(30, 2)
-    sap_step(oracle, state, np.arange(30), Y)
+    W = np.zeros((30, 2))
+    exact_step(oracle, W, Y, np.arange(30))
     ref = np.linalg.solve(system_matrix(oracle), Y)
-    assert np.linalg.norm(state.W - ref) / np.linalg.norm(ref) <= 1e-8
+    assert np.linalg.norm(W - ref) / np.linalg.norm(ref) <= 1e-8
 
 
 def test_sap_single_point_system():
     oracle, rng = rbf_oracle(1, 0.2, d=1)
     Y = np.array([[2.0]])
-    state = SolverState.zeros(1, 1)
-    sap_step(oracle, state, np.array([0]), Y)
-    assert state.W[0, 0] == pytest.approx(2.0 / (1.0 + 0.2))
+    W = np.zeros((1, 1))
+    exact_step(oracle, W, Y, np.array([0]))
+    assert W[0, 0] == pytest.approx(2.0 / (1.0 + 0.2))
 
 
 def test_sap_step_annihilates_block_residual():
     oracle, rng = rbf_oracle(50, 0.1)
     Y = rng.standard_normal((50, 1))
     A = system_matrix(oracle)
-    state = SolverState.zeros(50, 1)
-    state.W[:] = rng.standard_normal((50, 1))
+    W = rng.standard_normal((50, 1))
     block = np.sort(rng.choice(50, 12, replace=False))
-    sap_step(oracle, state, block, Y)
-    residual = A @ state.W - Y
+    exact_step(oracle, W, Y, block)
+    residual = A @ W - Y
     assert np.abs(residual[block]).max() <= 1e-8 * np.linalg.norm(Y)
 
 
-def test_sap_state_aliases_without_acceleration():
-    state = SolverState.zeros(5, 1)
-    assert state.V is state.W and state.Z is state.W
+def test_sap_unknown_sampler_is_a_config_error():
+    oracle, rng = rbf_oracle(10, 0.5)
+    cfg = RunConfig(lam=0.5, solver_id="sap", max_iters=2)
+    cfg.sampler = "nope"
+    with pytest.raises(ConfigError, match="unknown sampler"):
+        sap_solve(oracle, rng.standard_normal(10), cfg)
 
 
 def test_sap_zero_rhs_stays_zero():
@@ -249,16 +256,16 @@ def _kdpp_reference(problem, model, seed, iters, tol=None):
     relative residual after every step, stopping once it reaches ``tol``."""
     Y = problem.y[:, None]
     ynorm = max(np.linalg.norm(Y), np.finfo(np.float64).tiny)
-    state = SolverState.zeros(problem.n, 1)
+    W = np.zeros((problem.n, 1))
     residuals = []
     for t in range(iters):
         block = model.sample(substream(seed, "block", t))
-        sap_step(problem.oracle, state, block, Y)
-        res = problem.oracle.matmul(state.W) + problem.oracle.lam * state.W - Y
+        exact_step(problem.oracle, W, Y, block)
+        res = problem.oracle.matmul(W) + problem.oracle.lam * W - Y
         residuals.append(float(np.linalg.norm(res) / ynorm))
         if tol is not None and residuals[-1] <= tol:
             break
-    return state.W[:, 0], np.array(residuals)
+    return W[:, 0], np.array(residuals)
 
 
 @pytest.mark.parametrize("iters", [5, 16, 37])
@@ -267,7 +274,7 @@ def test_sap_kdpp_matches_one_block_at_a_time(iters):
     model = problem.dpp_model(8)
     cfg = RunConfig(lam=1e-3, solver_id="sap", sampler="kdpp", max_iters=iters,
                     residual_every=1, seed=7)
-    res = sap_solve(problem.oracle, problem.y, cfg, sampler="kdpp", dpp_model=model)
+    res = sap_solve(problem.oracle, problem.y, cfg, dpp_model=model)
     W_ref, residuals = _kdpp_reference(problem, model, 7, iters)
     assert res.iterations == iters
     assert np.array_equal(res.W, W_ref)
@@ -284,7 +291,7 @@ def test_sap_kdpp_tol_stop_mid_chunk_matches_one_block_at_a_time():
     tol = float(full[stop])
     cfg = RunConfig(lam=1e-3, solver_id="sap", sampler="kdpp", max_iters=60,
                     residual_every=1, seed=7, tol=tol)
-    res = sap_solve(problem.oracle, problem.y, cfg, sampler="kdpp", dpp_model=model)
+    res = sap_solve(problem.oracle, problem.y, cfg, dpp_model=model)
     W_ref, residuals = _kdpp_reference(problem, model, 7, 60, tol=tol)
     assert res.iterations == stop + 1 == residuals.size
     assert np.array_equal(res.W, W_ref)
@@ -332,14 +339,15 @@ def test_adasap_full_rank_matches_sap_direction():
     y = rng.standard_normal((n, 1))
     cfg = RunConfig(lam=0.4, solver_id="adasap", blocksize=n, nystrom_rank=n,
                     max_iters=1, mu=1.0, nu=1.0, residual_every=0)
-    accel = resolve_accel(cfg, n, n)
-    state = SolverState.zeros(n, 1, accelerated=True)
-    state, eta, block = adasap_step(oracle, state, y, cfg, accel)
+    accel = resolve_accel(cfg, oracle.lam, n, n)
+    W, V, Z, scratch = (np.zeros((n, 1)) for _ in range(4))
+    prepared = adasap_prepare(oracle, cfg, 0, n, n, np.empty((n, n)))
+    eta = adasap_step(oracle, W, V, Z, scratch, y, prepared, accel)
     assert abs(eta - 1.0) <= 1e-6
-    sap_state = SolverState.zeros(n, 1)
-    sap_step(oracle, sap_state, np.arange(n), y)
-    ada_dir = state.W[:, 0]
-    sap_dir = sap_state.W[:, 0]
+    W_sap = np.zeros((n, 1))
+    exact_step(oracle, W_sap, y, np.arange(n))
+    ada_dir = W[:, 0]
+    sap_dir = W_sap[:, 0]
     cosine = ada_dir @ sap_dir / (np.linalg.norm(ada_dir) * np.linalg.norm(sap_dir))
     assert cosine >= 1.0 - 1e-8
 
@@ -348,14 +356,23 @@ def test_adasap_step_rejects_an_aliased_state():
     oracle, rng = rbf_oracle(30, 0.3, seed=6)
     y = rng.standard_normal((30, 1))
     cfg = RunConfig(lam=0.3, solver_id="adasap", blocksize=6, max_iters=1)
-    accel = resolve_accel(cfg, 30, 6)
-    plain = SolverState.zeros(30, 1)  # V and Z alias W
+    accel = resolve_accel(cfg, oracle.lam, 30, 6)
+    prepared = adasap_prepare(oracle, cfg, 0, 6, 6, np.empty((6, 6)))
+    W, V, Z, scratch = (np.zeros((30, 1)) for _ in range(4))
     with pytest.raises(ContractError):
-        adasap_step(oracle, plain, y, cfg, accel)
-    aliased = SolverState.zeros(30, 1, accelerated=True)
-    aliased.scratch = aliased.V
+        adasap_step(oracle, W, W, W, scratch, y, prepared, accel)  # V and Z alias W
     with pytest.raises(ContractError):
-        adasap_step(oracle, aliased, y, cfg, accel)
+        adasap_step(oracle, W, V, Z, V, y, prepared, accel)  # scratch aliases V
+
+
+def test_adasap_default_mu_is_the_systems_lam():
+    oracle, rng = rbf_oracle(300, 0.1, seed=2)
+    y = rng.standard_normal(300)
+    base = dict(solver_id="adasap", blocksize=30, nystrom_rank=10, max_iters=40,
+                residual_every=0, seed=3)
+    matching = adasap_solve(oracle, y, RunConfig(lam=0.1, **base))
+    default = adasap_solve(oracle, y, RunConfig(**base))  # config lam 1e-3, unused
+    assert np.array_equal(matching.W, default.W)
 
 
 def test_adasap_identity_equals_plain_block_descent():
