@@ -51,7 +51,7 @@ from .gp import (
     rmse,
 )
 from .kernels import DenseOracle, KernelOracle, KernelSpec, kernel_eval
-from .randnla import NystromFactor, apply_inv, apply_inv_plain, apply_inv_sqrt, rand_nystrom, rand_nystrom_retry, rand_power_stepsize
+from .randnla import NystromFactor, apply_inv, apply_inv_sqrt, rand_nystrom, rand_nystrom_retry, rand_power_stepsize
 from .solvers import (
     AccelParams,
     SolveResult,

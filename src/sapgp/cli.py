@@ -19,7 +19,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import RunConfig, apply_overrides, kernel_from_dict, load_config, read_section
@@ -86,7 +85,6 @@ def _manifest(out_dir, command, tree, run_config, outputs):
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "sapgp": __version__,
         },
     }
@@ -191,7 +189,7 @@ def cmd_infer(args):
         columns = [mean_values]
         header = "point_id,mean"
     else:
-        rfm = RandomFeatureMap.sample(spec, num_features, substream(run_config.seed, "features"))
+        rfm = RandomFeatureMap.sample(spec, train.d, num_features, substream(run_config.seed, "features"))
         prior = RandomFeaturePrior(rfm, train.features, test.features)
         samples = pathwise_sample(
             oracle, prior, y, num_samples, run_config.seed, solve_fn, Xstar=test.features

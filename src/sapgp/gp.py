@@ -47,9 +47,11 @@ class RandomFeatureMap:
         return self.frequencies.shape[0]
 
     @classmethod
-    def sample(cls, spec, num_features, seed):
+    def sample(cls, spec, d, num_features, seed):
+        """Features for d-dimensional points; one lengthscale serves every dimension."""
+        if spec.lengthscales.size not in (1, d):
+            raise ContractError(f"lengthscales of size {spec.lengthscales.size} do not match d={d}")
         rng = as_generator(seed)
-        d = spec.lengthscales.size
         normal = rng.standard_normal((num_features, d))
         if spec.family == "rbf":
             freq = normal

@@ -1,21 +1,21 @@
-"""Randomized Nystrom factors, damped Woodbury applications, and powering.
+"""Randomized Nystrom factors, damped applications, and powering.
 
 The factor (U, S) approximates a PSD matrix M as U diag(S) U^T, following the
 numerically stable sketch route of Tropp et al. (shift, Cholesky, triangular
 solve, thin SVD, shift removal). Applications always damp the factor as
-U diag(S) U^T + rho*I with rho > 0.
+U diag(S) U^T + rho*I with rho > 0, by the closed form for orthonormal U.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ContractError, NumericalError
 from .rng import as_generator
+
+SHIFT_ESCALATIONS = (1.0, 1e4, 1e8)  # multiples of the eps trace shift
 
 
 @dataclass(frozen=True)
@@ -80,25 +80,25 @@ def rand_nystrom(sketch, omega, rank, shift_scale=1.0):
         half = np.zeros((dim, rank))
     else:
         try:
-            chol = scipy.linalg.cholesky(shifted)  # upper: chol.T @ chol = shifted
-        except scipy.linalg.LinAlgError as exc:
+            chol = np.linalg.cholesky(shifted)  # lower: chol @ chol.T = shifted
+        except np.linalg.LinAlgError as exc:
             if np.linalg.matrix_rank(omega) < rank:
                 raise ContractError("test matrix omega is rank deficient") from exc
             raise NumericalError(
                 "Cholesky of the shifted Gram failed; retry with a larger shift"
             ) from exc
-        half = scipy.linalg.solve_triangular(chol, sketch.T, trans="T", lower=False).T
+        half = np.linalg.solve(chol, sketch.T).T  # sketch @ chol^-T
 
     U, sig, _ = np.linalg.svd(half, full_matrices=False)
     S = np.maximum(sig * sig - shift, 0.0)
     return NystromFactor(U, S)
 
 
-def rand_nystrom_retry(sketch, omega, rank, escalations=(1.0, 1e4, 1e8)):
-    """rand_nystrom, escalating the stabilizing shift when the Gram Cholesky
-    reports indefiniteness (numerically singular M with a near-square omega)."""
+def rand_nystrom_retry(sketch, omega, rank):
+    """rand_nystrom, escalating the shift through SHIFT_ESCALATIONS when the Gram
+    Cholesky reports indefiniteness (numerically singular M, near-square omega)."""
     last = None
-    for scale in escalations:
+    for scale in SHIFT_ESCALATIONS:
         try:
             return rand_nystrom(sketch, omega, rank, shift_scale=scale)
         except NumericalError as exc:
@@ -106,61 +106,34 @@ def rand_nystrom_retry(sketch, omega, rank, escalations=(1.0, 1e4, 1e8)):
     raise last
 
 
-def apply_inv(factor, rho, g):
-    """(U S U^T + rho I)^{-1} g via the Cholesky-stabilized Woodbury route.
-
-    Zero modes of S are pruned from U first (they belong to the identity
-    complement). If the small Cholesky fails the plain Woodbury identity is
-    used instead and a RuntimeWarning flags the fallback.
-    """
+def _apply_damped(factor, rho, v, root):
+    """(U S U^T + rho I)^-p v = U (S + rho)^-p U^T v + (v - U U^T v) rho^-p for
+    p = 1/2 if ``root`` else 1; exact because U has orthonormal columns."""
     if not rho > 0.0:
         raise ContractError("rho must be positive")
-    g = np.asarray(g, dtype=np.float64)
-    keep = factor.S > 0.0
-    if not np.any(keep):
-        return g / rho
-    U = factor.U[:, keep]
-    S = factor.S[keep]
-    small = rho * np.diag(1.0 / S) + U.T @ U
-    try:
-        chol = scipy.linalg.cho_factor(small, lower=True)
-    except scipy.linalg.LinAlgError:
-        warnings.warn(
-            "stabilized Woodbury Cholesky failed; falling back to the plain identity",
-            RuntimeWarning,
-        )
-        return apply_inv_plain(factor, rho, g)
-    # unchecked, so a diverging solver's non-finite g flows into its iterate
-    core = scipy.linalg.cho_solve(chol, U.T @ g, check_finite=False)
-    return (g - U @ core) / rho
-
-
-def apply_inv_plain(factor, rho, g):
-    """Plain Woodbury: U (S + rho I)^{-1} U^T g + (g - U U^T g) / rho."""
-    if not rho > 0.0:
-        raise ContractError("rho must be positive")
-    g = np.asarray(g, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    damp = np.sqrt(rho) if root else rho
     if factor.rank == 0:
-        return g / rho
-    U, S = factor.U, factor.S
-    Utg = U.T @ g
-    scale = 1.0 / (S + rho)
-    scaled = Utg * scale[:, None] if g.ndim == 2 else Utg * scale
-    return U @ scaled + (g - U @ Utg) / rho
+        return v / damp
+    U = factor.U
+    Utv = U.T @ v
+    scale = 1.0 / (np.sqrt(factor.S + rho) if root else factor.S + rho)
+    scaled = Utv * scale[:, None] if v.ndim == 2 else Utv * scale
+    return U @ scaled + (v - U @ Utv) / damp
+
+
+def apply_inv(factor, rho, g):
+    """(U S U^T + rho I)^{-1} g = U (S+rho)^{-1} U^T g + (g - U U^T g)/rho."""
+    return _apply_damped(factor, rho, g, root=False)
+
+
+# perfbench/tracing.py counts Woodbury fallbacks through this name; there are none
+apply_inv_plain = apply_inv
 
 
 def apply_inv_sqrt(factor, rho, v):
     """(U S U^T + rho I)^{-1/2} v = U (S+rho)^{-1/2} U^T v + (v - U U^T v)/sqrt(rho)."""
-    if not rho > 0.0:
-        raise ContractError("rho must be positive")
-    v = np.asarray(v, dtype=np.float64)
-    if factor.rank == 0:
-        return v / np.sqrt(rho)
-    U, S = factor.U, factor.S
-    Utv = U.T @ v
-    scale = 1.0 / np.sqrt(S + rho)
-    scaled = Utv * scale[:, None] if v.ndim == 2 else Utv * scale
-    return U @ scaled + (v - U @ Utv) / np.sqrt(rho)
+    return _apply_damped(factor, rho, v, root=True)
 
 
 def rand_power_stepsize(h_apply, factor, rho, iters=10, seed=0):

@@ -16,7 +16,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .config import SAMPLERS, resolve_blocksize, resolve_rank
 from .dist import WorkerPool, col_dist_matmul
@@ -285,27 +284,19 @@ def _drive(oracle, Y2, vector, config, blocksize, total, prepare, step, iterate,
 # exact sketch-and-project
 
 
-def sap_factor(oracle, block):
-    """Cholesky factor (``scipy.linalg.cho_factor``, lower) of K[B,B] + lam I."""
-    H = oracle.block(block)
-    H[np.diag_indices_from(H)] += oracle.lam
+def sap_step(oracle, W, Y, block, H, pool=None):
+    """One exact projection step: zeroes the block rows of the residual.
+
+    Solves H d = (K[B,:] + lam I[B,:]) W - Y[B] by LU, where H is
+    K[B,B] + lam I, and subtracts d from the block rows of W in place.
+    """
+    grad = col_dist_matmul(oracle, W, block, pool) + oracle.lam * W[block] - Y[block]
     try:
-        return scipy.linalg.cho_factor(H, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+        W[block] -= np.linalg.solve(H, grad)
+    except np.linalg.LinAlgError as exc:
         raise NumericalError(
             "block system factorization failed; lam may be too small for float64"
         ) from exc
-
-
-def sap_step(oracle, W, Y, block, chol, pool=None):
-    """One exact projection step: zeroes the block rows of the residual.
-
-    Solves (K[B,B] + lam I) d = (K[B,:] + lam I[B,:]) W - Y[B] and subtracts
-    d from the block rows of W in place. ``chol`` is ``sap_factor(oracle,
-    block)``.
-    """
-    grad = col_dist_matmul(oracle, W, block, pool) + oracle.lam * W[block] - Y[block]
-    W[block] -= scipy.linalg.cho_solve(chol, grad)
 
 
 def sap_solve(oracle, Y, config, dpp_model=None, pool=None, on_iterate=None):
@@ -340,7 +331,9 @@ def sap_solve(oracle, Y, config, dpp_model=None, pool=None, on_iterate=None):
                 ahead = range(t, min(t + SAMPLE_CHUNK, total))
                 drawn[:] = dpp_model.sample_batch(substream(config.seed, "block", s) for s in ahead)
             block = drawn[t % SAMPLE_CHUNK]
-        return block, sap_factor(oracle, block)
+        H = oracle.block(block)
+        H[np.diag_indices_from(H)] += oracle.lam
+        return block, H
 
     def step(prepared):
         sap_step(oracle, W, Y2, *prepared, pool)
@@ -354,21 +347,26 @@ def sap_solve(oracle, Y, config, dpp_model=None, pool=None, on_iterate=None):
 # approximate accelerated sketch-and-project
 
 
-def adasap_prepare(oracle, config, t, blocksize, rank, kbb):
+def _test_matrix(seed, dim, rank):
+    """The solve's one orthonormal Nystrom test matrix, dim x rank."""
+    return np.linalg.qr(substream(seed, "omega").standard_normal((dim, rank)))[0]
+
+
+def adasap_prepare(oracle, config, t, blocksize, omega, kbb):
     """What iteration t's block alone decides: (block, factor, rho, stepsize).
 
     Phases: uniform block; K[B,B] into the b x b buffer ``kbb``; sketch
-    K[B,B] @ Omega; Nystrom factor with damping S_r + lam; powering. Rank 0
-    is the identity preconditioner (ADASAP-I): no sketch, rho = 1.
+    K[B,B] @ omega with the solve's orthonormal test matrix; Nystrom factor
+    with damping S_r + lam; powering. ``omega`` None is the identity
+    preconditioner (ADASAP-I): no sketch, rho = 1.
     """
     n, lam = oracle.n, oracle.lam
     block = _uniform_block(config.seed, t, n, blocksize)
     Kbb = oracle.block(block, kbb)
-    if rank == 0:
+    if omega is None:
         factor, rho = NystromFactor.empty(blocksize), 1.0
     else:
-        omega = substream(config.seed, "omega", t).standard_normal((blocksize, rank))
-        factor = rand_nystrom_retry(Kbb @ omega, omega, rank)
+        factor = rand_nystrom_retry(Kbb @ omega, omega, omega.shape[1])
         rho = float(factor.S[-1]) + lam
     eta = rand_power_stepsize(lambda v: Kbb @ v + lam * v, factor, rho, iters=10,
                               seed=substream(config.seed, "power", t))
@@ -401,13 +399,15 @@ def adasap_solve(oracle, Y, config, identity_precond=False, pool=None, on_iterat
     blocksize = resolve_blocksize(config, n)
     if accel is None:
         accel = resolve_accel(config, oracle.lam, n, blocksize)
-    rank = 0 if identity_precond else resolve_rank(config, blocksize)
+    # blocks are drawn independently of omega, so one draw serves every step
+    omega = None if identity_precond else _test_matrix(config.seed, blocksize,
+                                                        resolve_rank(config, blocksize))
     total = budget_iterations(config, blocksize / n)
     W = np.zeros((n, Y2.shape[1]))
     V, Z, scratch = W.copy(), W.copy(), np.empty_like(W)
     kbb = np.empty((blocksize, blocksize))  # preparations never overlap: one buffer serves all
     return _drive(oracle, Y2, vector, config, blocksize, total,
-                  lambda t: adasap_prepare(oracle, config, t, blocksize, rank, kbb),
+                  lambda t: adasap_prepare(oracle, config, t, blocksize, omega, kbb),
                   lambda prepared: adasap_step(oracle, W, V, Z, scratch, Y2, prepared, accel, pool),
                   W, on_iterate, tail_average=config.tail_average, pool=pool)
 
@@ -472,7 +472,7 @@ def pcg_solve(oracle, Y, config, pool=None, on_iterate=None):
         raise ConfigError("pcg rank outside [0, n]")
     sketch_passes = 0.0
     if rank > 0:
-        omega = substream(config.seed, "omega").standard_normal((n, rank))
+        omega = _test_matrix(config.seed, n, rank)
         sketch = oracle.matmul(omega, pool)
         sketch_passes = 1.0
         factor = rand_nystrom_retry(sketch, omega, rank)

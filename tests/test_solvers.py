@@ -27,7 +27,7 @@ from sapgp import (
 from sapgp.dist import TILE
 from sapgp.randnla import rand_power_stepsize
 from sapgp.rng import substream
-from sapgp.solvers import TailAverager, adasap_prepare, resolve_accel, sap_factor
+from sapgp.solvers import TailAverager, adasap_prepare, resolve_accel
 from sapgp.theory import SyntheticSpectrumProblem
 
 
@@ -155,7 +155,11 @@ def test_tail_average_empty_window():
 
 
 def exact_step(oracle, W, Y, block):
-    sap_step(oracle, W, Y, block, sap_factor(oracle, block))
+    sap_step(oracle, W, Y, block, oracle.block(block) + oracle.lam * np.eye(block.size))
+
+
+def orthonormal(dim, rank, seed=0):
+    return np.linalg.qr(np.random.default_rng(seed).standard_normal((dim, rank)))[0]
 
 
 def test_sap_full_block_is_direct_solve():
@@ -341,7 +345,7 @@ def test_adasap_full_rank_matches_sap_direction():
                     max_iters=1, mu=1.0, nu=1.0, residual_every=0)
     accel = resolve_accel(cfg, oracle.lam, n, n)
     W, V, Z, scratch = (np.zeros((n, 1)) for _ in range(4))
-    prepared = adasap_prepare(oracle, cfg, 0, n, n, np.empty((n, n)))
+    prepared = adasap_prepare(oracle, cfg, 0, n, orthonormal(n, n), np.empty((n, n)))
     eta = adasap_step(oracle, W, V, Z, scratch, y, prepared, accel)
     assert abs(eta - 1.0) <= 1e-6
     W_sap = np.zeros((n, 1))
@@ -357,12 +361,25 @@ def test_adasap_step_rejects_an_aliased_state():
     y = rng.standard_normal((30, 1))
     cfg = RunConfig(lam=0.3, solver_id="adasap", blocksize=6, max_iters=1)
     accel = resolve_accel(cfg, oracle.lam, 30, 6)
-    prepared = adasap_prepare(oracle, cfg, 0, 6, 6, np.empty((6, 6)))
+    prepared = adasap_prepare(oracle, cfg, 0, 6, orthonormal(6, 6), np.empty((6, 6)))
     W, V, Z, scratch = (np.zeros((30, 1)) for _ in range(4))
     with pytest.raises(ContractError):
         adasap_step(oracle, W, W, W, scratch, y, prepared, accel)  # V and Z alias W
     with pytest.raises(ContractError):
         adasap_step(oracle, W, V, Z, V, y, prepared, accel)  # scratch aliases V
+
+
+@pytest.mark.parametrize("lam", [1e-15, 4 * np.finfo(np.float64).eps])
+@pytest.mark.parametrize("solver_id", ["sap", "adasap", "adasap_i", "sdd", "pcg"])
+def test_lam_near_eps_on_identical_points(solver_id, lam):
+    # K[B,B] is the all-ones matrix: a block solve sees lam alone on its null space
+    oracle = KernelOracle(KernelSpec("rbf", [1.0]), np.zeros((3, 2)), lam)
+    cfg = RunConfig(lam=lam, solver_id=solver_id, blocksize=3, max_iters=20, seed=1)
+    try:
+        result = solve(oracle, np.array([1.0, -2.0, 0.5]), cfg)
+    except NumericalError:
+        return
+    assert result.diverged or np.isfinite(result.W).all()
 
 
 def test_adasap_default_mu_is_the_systems_lam():
