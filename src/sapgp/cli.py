@@ -101,6 +101,17 @@ PROBLEM_KEYS = {
 }
 
 
+def _run_config(tree):
+    """The ``run`` section of a ``solve`` or ``infer`` command, refused where a
+    solver would ignore a setting or needs what no config can give."""
+    run_config = RunConfig.from_dict(tree.get("run", {}))
+    run_config.reject_ignored()
+    if run_config.sampler == "kdpp":
+        raise ConfigError('run.sampler = "kdpp" is available only through the Python API, '
+                          "which takes the DppModel as solve(..., dpp_model=...)")
+    return run_config
+
+
 def _problem_values(tree):
     """(type, {key: value}) of the problem section."""
     section = tree.get("problem", {})
@@ -133,7 +144,7 @@ def _build_problem(tree, run_config):
 
 def cmd_solve(args):
     tree = _effective_config(args)
-    run_config = RunConfig.from_dict(tree.get("run", {}))
+    run_config = _run_config(tree)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     oracle, y, _ = _build_problem(tree, run_config)
@@ -163,7 +174,7 @@ INFER_KEYS = {"num_samples": (64, int, ">= 0"), "num_features": (2048, int, ">= 
 
 def cmd_infer(args):
     tree = _effective_config(args)
-    run_config = RunConfig.from_dict(tree.get("run", {}))
+    run_config = _run_config(tree)
     values = read_section("infer", tree.get("infer", {}), INFER_KEYS)
     num_samples, num_features = values["num_samples"], values["num_features"]
     if num_samples == 1:  # a predictive variance needs two samples

@@ -75,6 +75,11 @@ _RUN_FIELDS = {
     "nu": (("default", float), "> 0"), "stepsize_scale": (float, ">= 0"),
     "tol": ((None, float), ">= 0"), "residual_every": (int, ">= 0"),
 }
+# settings only some solvers read: {field: (the value that leaves it off, its readers)}
+_SOLVER_ONLY = {
+    "sampler": ("uniform", ("sap",)),
+    "tail_average": (False, ("sap", "adasap", "adasap_i")),
+}
 
 
 @dataclass
@@ -104,6 +109,15 @@ class RunConfig:
             setattr(self, name, value)
         if self.max_passes is None and self.max_iters is None:
             raise ConfigError("need max_passes or max_iters")
+
+    def reject_ignored(self):
+        """ConfigError naming the first setting that ``solver_id`` would ignore."""
+        for name, (off, readers) in _SOLVER_ONLY.items():
+            value = getattr(self, name)
+            if value != off and self.solver_id not in readers:
+                raise ConfigError(
+                    f"run.{name} = {json.dumps(value)} is ignored by solver "
+                    f"{self.solver_id!r}; only {', '.join(readers)} read it")
 
     def validate_for(self, n):
         """Size-dependent checks once the problem size is known."""

@@ -3,8 +3,10 @@
 The two-phase exact sampler follows Kulesza & Taskar: an eigenvector subset
 of fixed size is drawn with the elementary-symmetric backward recursion, then
 a sequential Gram-Schmidt chain rule samples the projection DPP on the chosen
-eigenvectors. Subset probabilities are exactly proportional to the principal
-minors det(A[B, B]).
+eigenvectors. The chain rule works in eigen-coordinates, as their Alg. 1
+does: it keeps the chosen directions as a k x k basis and never forms the
+n x k coefficients of the projection kernel. Subset probabilities are exactly
+proportional to the principal minors det(A[B, B]).
 """
 
 from __future__ import annotations
@@ -83,6 +85,7 @@ class DppModel:
         self.eigvecs = eigvecs
         self.sample_size = int(sample_size)
         self._ratios = None
+        self._eigvecs_t = None  # eigenvectors as contiguous rows, built by the first sample
         self._half = {}
 
     # -- phase 1: eigenvector-subset selection ------------------------------
@@ -129,19 +132,27 @@ class DppModel:
     # -- phase 2: projection DPP on the selected eigenvectors ---------------
 
     def _chain_rule(self, selected, uniforms):
-        """Gram-Schmidt chain rule run in lockstep over a chunk of samples.
+        """Gram-Schmidt chain rule in eigen-coordinates, in lockstep over a chunk.
 
         ``selected`` holds each sample's k eigenvector indices and ``uniforms``
-        its k chain-rule uniforms, one row per sample. Every row gets the same
-        operations, in the same order and on the same memory layout, as a
-        sample drawn alone, so rows do not depend on the chunk they share.
+        its k chain-rule uniforms, one row per sample. Index i is the point
+        V[:, i] in R^k, its entries in the chosen eigenvectors, and
+        ``norms[i]`` is its squared distance from the span of the directions
+        kept so far, the rows of E. Each step picks j by the CDF of ``norms``,
+        keeps e = (V[:, j] - E^T E V[:, j]) / sqrt(norms[j]) and subtracts
+        (e V)^2 from ``norms``. Per chunk this holds V (chunk, k, n) and E
+        (chunk, k, k). Every row gets the same operations, in the same order
+        and on the same memory layout, as a sample drawn alone, so rows do not
+        depend on the chunk they share.
         """
         count, k = selected.shape
         n = self.eigvals.size
+        if self._eigvecs_t is None:
+            self._eigvecs_t = np.ascontiguousarray(self.eigvecs.T)
         rows = np.arange(count)
-        V = np.ascontiguousarray(self.eigvecs.T[selected].transpose(0, 2, 1))
-        norms = np.einsum("cij,cij->ci", V, V)
-        coeffs = np.empty((count, n, k))
+        V = self._eigvecs_t[selected]
+        norms = np.einsum("cki,cki->ci", V, V)
+        E = np.empty((count, k, k))
         chosen = np.empty((count, k), dtype=np.intp)
         for it in range(k):
             np.maximum(norms, 0.0, out=norms)
@@ -156,12 +167,13 @@ class DppModel:
             if empty.any():
                 j[empty] = np.argmax(norms[empty], axis=1)
             chosen[:, it] = j
-            denom = np.sqrt(norms[rows, j])
-            col = (V @ V[rows, j][:, :, None])[:, :, 0]
+            e = V[rows, :, j]
             if it:
-                col -= (coeffs[:, :, :it] @ coeffs[rows, j, :it][:, :, None])[:, :, 0]
-            col /= denom[:, None]
-            coeffs[:, :, it] = col
+                kept = E[:, :it]
+                e -= (kept.transpose(0, 2, 1) @ (kept @ e[:, :, None]))[:, :, 0]
+            e /= np.sqrt(norms[rows, j])[:, None]
+            E[:, it] = e
+            col = (e[:, None, :] @ V)[:, 0]
             norms -= col * col
             norms[rows, j] = 0.0
         return np.sort(chosen, axis=1)

@@ -312,7 +312,7 @@ def sap_solve(oracle, Y, config, dpp_model=None, pool=None, on_iterate=None):
         raise ConfigError(f"unknown sampler {sampler!r}")
     if sampler == "kdpp":
         if dpp_model is None:
-            raise ConfigError("kdpp sampling needs a DppModel")
+            raise ConfigError('run.sampler = "kdpp" needs a dpp_model')
         blocksize = dpp_model.sample_size
         if config.blocksize is not None and config.blocksize != blocksize:
             raise ConfigError("config blocksize disagrees with the DPP sample size")
@@ -524,7 +524,9 @@ def pcg_solve(oracle, Y, config, pool=None, on_iterate=None):
 
 
 def solve(oracle, Y, config, dpp_model=None, pool=None, on_iterate=None):
-    """Run the solver selected by ``config.solver_id``."""
+    """Run the solver selected by ``config.solver_id``; a setting that solver
+    would ignore is a ConfigError."""
+    config.reject_ignored()
     own_pool = None
     if pool is None and config.num_workers > 1:
         own_pool = pool = WorkerPool(config.num_workers)

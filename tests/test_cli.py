@@ -257,6 +257,34 @@ def test_bad_run_value_is_one_error_line(tmp_path, capsys, override):
     assert len(err) == 1 and err[0].startswith(f"error: {key} must be")
 
 
+@pytest.mark.parametrize("command", ["solve", "infer"])
+@pytest.mark.parametrize("overrides,message", [
+    (["run.solver_id=adasap", "run.sampler=kdpp"],
+     'error: run.sampler = "kdpp" is ignored by solver \'adasap\''),
+    (["run.solver_id=adasap_i", "run.sampler=kdpp"],
+     'error: run.sampler = "kdpp" is ignored by solver \'adasap_i\''),
+    (["run.solver_id=sdd", "run.sampler=kdpp"],
+     'error: run.sampler = "kdpp" is ignored by solver \'sdd\''),
+    (["run.solver_id=pcg", "run.sampler=kdpp"],
+     'error: run.sampler = "kdpp" is ignored by solver \'pcg\''),
+    (["run.solver_id=sdd", "run.tail_average=true"],
+     "error: run.tail_average = true is ignored by solver 'sdd'"),
+    (["run.solver_id=pcg", "run.tail_average=true"],
+     "error: run.tail_average = true is ignored by solver 'pcg'"),
+    (["run.solver_id=sap", "run.sampler=kdpp"],
+     'error: run.sampler = "kdpp" is available only through the Python API'),
+])
+def test_setting_the_solver_cannot_use_is_one_error_line(tmp_path, capsys, command, overrides,
+                                                        message):
+    args = [arg for override in overrides for arg in ("--set", override)]
+    out = tmp_path / "out"
+    code = run_cli("--out", str(out), "--set", "problem.n=50", *args, command)
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(message)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed", ["abc", "1.5"])
 def test_verify_bad_seed_is_one_error_line(tmp_path, capsys, seed):
     code = run_cli("--out", str(tmp_path / "out"), "--set", f"run.seed={seed}",

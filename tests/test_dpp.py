@@ -249,6 +249,8 @@ BATCH_CASES = {
     "criterion10_n512_k32": lambda: SyntheticSpectrumProblem.poly(
         512, 2.0, 1e-4, seed=14, response="gaussian").dpp_model(32),
     "log_space_path": _log_path_model,
+    # coordinate eigenvectors: norms fall to exact zeros and E holds exact zeros
+    "identity_basis": lambda: DppModel(np.geomspace(1, 1e-12, 64), np.eye(64), 12),
 }
 
 
@@ -264,6 +266,18 @@ def test_sample_batch_matches_serial_chain_rule(case):
     gen = np.random.default_rng(16)
     for row in shared:
         assert np.array_equal(row, serial_sample(model, gen))
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_chosen_rows_of_selected_eigenvectors_have_full_rank(case):
+    # a projection DPP sample spans the chosen eigenvectors: V[chosen, selected]
+    # is k x k and nonsingular
+    model = BATCH_CASES[case]()
+    n, k = model.eigvals.size, model.sample_size
+    batch = model.sample_batch(substream(21, "block", t) for t in range(64))
+    for t, row in enumerate(batch):
+        selected = model._select_eigenvectors(substream(21, "block", t).random(n))
+        assert np.linalg.matrix_rank(model.eigvecs[np.ix_(row, selected)]) == k
 
 
 def test_sample_is_one_row_of_a_batch():

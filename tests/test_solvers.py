@@ -9,6 +9,7 @@ from sapgp import (
     ConfigError,
     ContractError,
     DenseOracle,
+    DppModel,
     KernelOracle,
     KernelSpec,
     NumericalError,
@@ -443,6 +444,33 @@ def test_solver_dispatch_unknown():
     cfg = RunConfig(lam=0.5, max_iters=2)
     cfg.solver_id = "nope"
     with pytest.raises(Exception):
+        solve(oracle, rng.standard_normal(10), cfg)
+
+
+@pytest.mark.parametrize("solver_id", ["adasap", "adasap_i", "sdd", "pcg"])
+def test_solve_rejects_kdpp_sampler_the_solver_ignores(solver_id):
+    oracle, rng = rbf_oracle(10, 0.5)
+    cfg = RunConfig(lam=0.5, solver_id=solver_id, sampler="kdpp", blocksize=4,
+                    nystrom_rank=2, max_iters=2)
+    model = DppModel(np.ones(10), np.eye(10), 4)
+    message = rf'^run\.sampler = "kdpp" is ignored by solver \'{solver_id}\''
+    with pytest.raises(ConfigError, match=message):
+        solve(oracle, rng.standard_normal(10), cfg, dpp_model=model)
+
+
+@pytest.mark.parametrize("solver_id", ["sdd", "pcg"])
+def test_solve_rejects_tail_average_the_solver_ignores(solver_id):
+    oracle, rng = rbf_oracle(10, 0.5)
+    cfg = RunConfig(lam=0.5, solver_id=solver_id, tail_average=True, blocksize=4, max_iters=2)
+    message = rf"^run\.tail_average = true is ignored by solver '{solver_id}'"
+    with pytest.raises(ConfigError, match=message):
+        solve(oracle, rng.standard_normal(10), cfg)
+
+
+def test_sap_kdpp_without_model_names_the_setting():
+    oracle, rng = rbf_oracle(10, 0.5)
+    cfg = RunConfig(lam=0.5, solver_id="sap", sampler="kdpp", max_iters=2)
+    with pytest.raises(ConfigError, match=r'^run\.sampler = "kdpp" needs a dpp_model'):
         solve(oracle, rng.standard_normal(10), cfg)
 
 
