@@ -30,7 +30,7 @@ del _os, _sys, _var, _BLAS_VARS
 
 from .config import RunConfig
 from .data import Dataset, load_csv, standardize, train_test_split
-from .dist import WorkerPool, col_dist_matmul, row_dist_matmul
+from .dist import WorkerPool, col_dist_matmul, col_dist_update, row_dist_matmul
 from .dpp import DppModel, expected_projection_mc, lemma2_lower_bound, smoothed_condition
 from .errors import (
     ConfigError,
@@ -59,6 +59,7 @@ from .solvers import (
     adasap_step,
     nesterov_update,
     pcg_solve,
+    relative_residual,
     sap_solve,
     sap_step,
     sdd_solve,

@@ -24,11 +24,11 @@ from . import __version__
 from .config import RunConfig, apply_overrides, kernel_from_dict, load_config, read_section
 from .data import load_csv, standardize, train_test_split
 from .dist import WorkerPool, col_dist_matmul, row_dist_matmul
-from .errors import ConfigError, SapgpError
+from .errors import ConfigError, DivergedError, SapgpError
 from .gp import RandomFeatureMap, RandomFeaturePrior, mean_nll, pathwise_sample, rmse
 from .kernels import KernelOracle
 from .rng import substream
-from .solvers import solve
+from .solvers import relative_residual, solve
 from .theory import (
     SyntheticSpectrumProblem,
     verify_lemma2,
@@ -159,6 +159,10 @@ def cmd_solve(args):
             "iterations": result.iterations,
             "passes": result.passes,
             "final_residual": result.trace.final_residual(),
+            # one full product beyond the run, so `passes` leaves it out
+            "final_true_residual": relative_residual(oracle, result.W, y),
+            "true_checks": result.true_checks,
+            "max_residual_gap": result.max_residual_gap,
         },
     )
     _manifest(out_dir, "solve", tree, run_config, ["trace.csv", "weights.npy", "result.json"])
@@ -189,7 +193,11 @@ def cmd_infer(args):
     run_config.validate_for(oracle.n)
 
     def solve_fn(orc, rhs):
-        return solve(orc, rhs, run_config).W
+        result = solve(orc, rhs, run_config)
+        if result.diverged:
+            raise DivergedError(f"the solve diverged after {result.iterations} iterations; "
+                                "no predictions written")
+        return result.W
 
     metrics = {}
     outputs = ["predictions.csv", "metrics.json"]
@@ -339,6 +347,9 @@ def main(argv=None):
     handlers = {"solve": cmd_solve, "infer": cmd_infer, "verify": cmd_verify, "bench": cmd_bench}
     try:
         return handlers[args.command](args)
+    except DivergedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
     except (SapgpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -110,14 +110,16 @@ class RunConfig:
         if self.max_passes is None and self.max_iters is None:
             raise ConfigError("need max_passes or max_iters")
 
-    def reject_ignored(self):
-        """ConfigError naming the first setting that ``solver_id`` would ignore."""
+    def reject_ignored(self, solver=None):
+        """ConfigError naming the first setting that ``solver`` (by default
+        ``solver_id``) would ignore."""
+        solver = self.solver_id if solver is None else solver
         for name, (off, readers) in _SOLVER_ONLY.items():
             value = getattr(self, name)
-            if value != off and self.solver_id not in readers:
+            if value != off and solver not in readers:
                 raise ConfigError(
                     f"run.{name} = {json.dumps(value)} is ignored by solver "
-                    f"{self.solver_id!r}; only {', '.join(readers)} read it")
+                    f"{solver!r}; only {', '.join(readers)} read it")
 
     def validate_for(self, n):
         """Size-dependent checks once the problem size is known."""

@@ -36,9 +36,10 @@ def partition(size, parts):
     return ranges
 
 
-def tile_ranges(size):
-    """The fixed tile decomposition of ``range(size)`` (worker-count free)."""
-    return partition(size, max(1, math.ceil(size / TILE)))
+def tile_ranges(size, width=TILE):
+    """The fixed decomposition of ``range(size)`` into tiles of at most
+    ``width`` (worker-count free)."""
+    return partition(size, max(1, math.ceil(size / width)))
 
 
 class WorkerPool:
@@ -135,6 +136,41 @@ def col_dist_matmul(oracle, W, block, pool=None):
     for part in _ordered(pool, len(tiles), task):
         out += part
     return out[:, 0] if vector else out
+
+
+def col_dist_update(oracle, D, block, update, pool=None):
+    """Hand each column tile of (K + lam I)[:, block] @ D to ``update``.
+
+    The column tiles K[block, rows] of ``col_dist_matmul``, used the other way
+    round: ``update(rows, local, pos, AD)`` gets ``rows`` as a slice and
+    AD = (K + lam I)[rows, block] @ D, formed as (D^T K[block, rows])^T plus
+    ``lam D[pos]`` on the rows ``local`` = ``block[pos] - rows.start`` that
+    the block shares with the tile (``lam`` is ``oracle.lam``). A block
+    shorter than TILE gets tiles TILE // b times as wide, so each task still
+    covers about TILE x TILE entries. Calls run as tasks on ``pool``, so
+    ``update`` must write only its own rows. The floats they return are
+    summed in ascending tile order, so the sum is bit-identical for every
+    worker count.
+    """
+    n = oracle.n
+    block = check_indices(block, n)
+    D = np.asarray(D, dtype=np.float64)
+    if D.ndim != 2 or D.shape[0] != block.size:
+        raise ContractError("D must be 2-d with one row per block index")
+    tiles = tile_ranges(n, TILE * max(1, TILE // block.size))
+
+    def task(i):
+        start, stop = tiles[i]
+        AD = (D.T @ oracle.tile(block, range(start, stop))).T
+        pos = np.flatnonzero((block >= start) & (block < stop))
+        local = block[pos] - start
+        AD[local] += oracle.lam * D[pos]
+        return update(slice(start, stop), local, pos, AD)
+
+    total = 0.0
+    for part in _ordered(pool, len(tiles), task):
+        total += part
+    return total
 
 
 def row_dist_matmul(oracle, omega, block, pool=None):

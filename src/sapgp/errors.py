@@ -25,5 +25,9 @@ class NumericalError(SapgpError):
     """A numerical routine failed, e.g. an indefinite Cholesky factorization."""
 
 
+class DivergedError(SapgpError):
+    """A solve diverged where its result was needed (``sapgp infer`` exits 2)."""
+
+
 class WorkerError(SapgpError):
     """A worker task failed; the run aborts with no partial results."""

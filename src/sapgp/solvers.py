@@ -5,7 +5,10 @@ oracle), touch the kernel matrix only through block products, and append to a
 ConvergenceTrace. Budgets are expressed in passes over the kernel matrix;
 one block iteration costs blocksize/n of a pass, one full matvec costs one.
 The block solvers (sap, adasap, adasap_i, sdd) share one loop, ``_drive``,
-which prepares each step's block one step ahead on the worker pool.
+which prepares each step's block one step ahead on the worker pool. They
+carry the residual (K + lam I) X - Y of what they report, so a step reads its
+gradient from the residual's block rows and its one kernel pass is the
+update of the residual by the block columns of K + lam I.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SAMPLERS, resolve_blocksize, resolve_rank
-from .dist import WorkerPool, col_dist_matmul
-from .dist import row_dist_matmul  # noqa: F401  (re-exported; the benchmark tracer wraps it here)
+from .dist import WorkerPool, col_dist_update
+# re-exported; the benchmark tracer wraps them here
+from .dist import col_dist_matmul, row_dist_matmul  # noqa: F401
 from .dpp import SAMPLE_CHUNK
 from .errors import ConfigError, ContractError, NumericalError
 from .randnla import NystromFactor, apply_inv, rand_nystrom_retry, rand_power_stepsize
@@ -64,30 +68,37 @@ def resolve_accel(config, lam, n, blocksize):
     return AccelParams(mu, nu)
 
 
-def nesterov_update(W, V, Z, block, direction, eta, beta, gamma, alpha, scratch):
+def _check_distinct(arrays, message):
+    for a, b in itertools.combinations(arrays, 2):
+        if np.may_share_memory(a, b):
+            raise ContractError(message)
+
+
+def nesterov_update(W, V, Z, rows, direction, eta, beta, gamma, alpha):
     """One accelerated update in place; the Z blend uses the incoming V.
 
     W' = Z - eta D;  V' = beta V + (1-beta) Z - gamma eta D;
     Z' = alpha V + (1-alpha) W',
 
-    where D is ``direction`` on the ``block`` rows and zero elsewhere. W, V, Z
-    and ``scratch`` (same shape) must be distinct arrays; no other full-size
-    array is allocated. Each term is formed in the order of the formula, and
-    rows outside the block skip only the subtraction of an exact zero, so the
-    bits are those of the out-of-place expression.
+    where D is ``direction`` on ``rows`` and zero elsewhere. W, V and Z must
+    be distinct arrays, and the incoming W is not read. Each term is formed
+    in the order of the formula, and rows outside ``rows`` skip only the
+    subtraction of an exact zero, so the bits are those of the out-of-place
+    expression. The coefficients of each line sum to one, so residuals
+    (K + lam I) X - Y follow the same update with direction (K + lam I) D:
+    the block solvers call it on row tiles of the iterates and of their
+    residuals, with one temporary the size of V.
     """
-    for a, b in itertools.combinations((W, V, Z, scratch), 2):
-        if np.may_share_memory(a, b):
-            raise ContractError("the accelerated update needs distinct W, V, Z and scratch arrays")
-    np.multiply(V, alpha, out=scratch)          # alpha V, before V moves
+    _check_distinct((W, V, Z), "the accelerated update needs distinct W, V and Z arrays")
+    alpha_v = V * alpha                         # before V moves
     V *= beta
-    np.multiply(Z, 1.0 - beta, out=W)           # the incoming W is not used
+    np.multiply(Z, 1.0 - beta, out=W)
     V += W
-    V[block] -= (gamma * eta) * direction
+    V[rows] -= (gamma * eta) * direction
     np.copyto(W, Z)
-    W[block] -= eta * direction
+    W[rows] -= eta * direction
     np.multiply(W, 1.0 - alpha, out=Z)
-    Z += scratch
+    Z += alpha_v
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +164,8 @@ class ConvergenceTrace:
 
 
 class TailAverager:
-    """Streaming mean of iterates with indices in [ceil(T/2), T-1]."""
+    """Streaming mean of iterates with indices in [ceil(T/2), T-1], and of
+    their residuals when ``add`` is given them."""
 
     def __init__(self, total_iters, shape):
         if total_iters < 2:
@@ -161,11 +173,14 @@ class TailAverager:
         self.start = math.ceil(total_iters / 2)
         self.stop = total_iters - 1
         self._sum = np.zeros(shape)
+        self._residual_sum = np.zeros(shape)
         self.count = 0
 
-    def add(self, index, iterate):
+    def add(self, index, iterate, residual=None):
         if self.start <= index <= self.stop:
             self._sum += iterate
+            if residual is not None:
+                self._residual_sum += residual
             self.count += 1
 
     def average(self):
@@ -173,14 +188,26 @@ class TailAverager:
             raise ContractError("empty tail-average window")
         return self._sum / self.count
 
+    def residual_average(self):
+        """The mean of the residuals added, i.e. the residual of ``average()``."""
+        if self.count == 0:
+            raise ContractError("empty tail-average window")
+        return self._residual_sum / self.count
+
 
 @dataclass
 class SolveResult:
+    """``true_checks`` counts the full products ``K @ W`` the loop ran to
+    confirm a stop; ``max_residual_gap`` is the largest |carried - true|
+    relative residual they found."""
+
     W: np.ndarray
     trace: ConvergenceTrace
     diverged: bool
     iterations: int
     passes: float
+    true_checks: int = 0
+    max_residual_gap: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +231,24 @@ def _as_columns(Y, n):
     return np.ascontiguousarray(Y2), vector
 
 
-def _relative_residual(oracle, W, Y, ynorm, pool=None):
+def _norm_floor(Y):
+    """||Y||, raised to the smallest normal float so a zero Y divides."""
+    return float(max(np.linalg.norm(Y), np.finfo(np.float64).tiny))
+
+
+def relative_residual(oracle, W, Y, pool=None):
+    """||(K + lam I) W - Y|| / ||Y|| by one full product ``K @ W`` on ``pool``."""
     with np.errstate(over="ignore", invalid="ignore"):
         res = oracle.matmul(W, pool)
         res += oracle.lam * W
         res -= Y
-        return float(np.linalg.norm(res) / ynorm)
+        return float(np.linalg.norm(res) / _norm_floor(Y))
+
+
+def _sumsq(a):
+    """Squared Frobenius norm of a C-contiguous array, as ``np.linalg.norm`` forms it."""
+    flat = a.ravel()
+    return float(flat @ flat)
 
 
 def _uniform_block(seed, iteration, n, blocksize):
@@ -221,33 +260,41 @@ def _due(every, t, total):
     return t == total - 1 or every > 0 and (t + 1) % every == 0
 
 
-def _drive(oracle, Y2, vector, config, blocksize, total, prepare, step, iterate, on_iterate,
-           tail_average=False, pool=None):
+def _drive(oracle, Y2, vector, config, blocksize, total, prepare, step, iterate, residual,
+           on_iterate, pool=None):
     """The block-iteration loop shared by sap, adasap, adasap_i and sdd.
 
     ``prepare(t)`` returns what iteration t's block alone decides (never
     using the iterate or the pool); calls run one at a time, in order.
-    ``step(prepared)`` runs the iteration, updating the array ``iterate`` in
-    place, and returns its stepsize. On a pool of more than one worker,
-    ``prepare(t+1)`` runs on the pool while step t runs; a stop discards it,
-    and its exception is raised where step t+1 would run. A non-finite
-    iterate after any step (recorded as an infinite residual) or a residual
-    above DIVERGENCE_FACTOR stops the run as diverged. With ``tail_average``
-    residuals and the tol test use the iterate that would be returned: the
-    running tail average once its window opens. Residual checks run their
-    full product on ``pool``.
+    ``step(prepared)`` runs the iteration, updating in place the array
+    ``iterate`` and its carried residual (K + lam I) iterate - Y, and returns
+    (stepsize, squared norm of that residual). ``residual`` is the array that
+    holds the residual; only tail averaging reads it (None without it). On a
+    pool of more than one worker, ``prepare(t+1)`` runs on the pool while
+    step t runs; a stop discards it, and its exception is raised where step
+    t+1 would run.
+
+    Rows at the ``residual_every`` cadence, and the last row, record the
+    carried relative residual of the reported iterate: the running tail
+    average once its window opens (``config.tail_average``), else
+    ``iterate``. They cost no kernel work. A carried value at or below
+    ``tol``, or above DIVERGENCE_FACTOR (or NaN), is confirmed by one true
+    residual, a full product on ``pool``: the row records the true value,
+    and the run stops only if that value confirms the stop. A non-finite
+    iterate after any step stops the run as diverged at once, recorded as an
+    infinite residual.
     """
     n = oracle.n
-    averager = TailAverager(total, Y2.shape) if tail_average else None
-    ynorm = max(np.linalg.norm(Y2), np.finfo(np.float64).tiny)
+    averager = TailAverager(total, Y2.shape) if config.tail_average else None
+    ynorm = _norm_floor(Y2)
     trace = ConvergenceTrace()
     diverged = False
     iters_done = 0
+    true_checks = 0
+    max_gap = 0.0
 
-    def reported():
-        if averager is not None and averager.count > 0:
-            return averager.average()
-        return iterate
+    def averaging():
+        return averager is not None and averager.count > 0
 
     ahead = pool is not None and pool.num_workers > 1
     pending = None
@@ -255,17 +302,27 @@ def _drive(oracle, Y2, vector, config, blocksize, total, prepare, step, iterate,
         for t in range(total):
             prepared = prepare(t) if pending is None else pending.result()
             pending = pool.submit(prepare, t + 1) if ahead and t + 1 < total else None
-            stepsize = step(prepared)
+            stepsize, sumsq = step(prepared)
             iters_done = t + 1
             if averager is not None:
-                averager.add(iters_done, iterate)
+                averager.add(iters_done, iterate, residual)
             if on_iterate is not None:
                 on_iterate(iters_done, iterate)
             relres = math.nan
             if not np.isfinite(iterate).all():
                 relres = math.inf
             elif _due(config.residual_every, t, total):
-                relres = _relative_residual(oracle, reported(), Y2, ynorm, pool)
+                if averaging():
+                    relres = float(np.linalg.norm(averager.residual_average()) / ynorm)
+                else:
+                    relres = math.sqrt(sumsq) / ynorm
+                if (config.tol is not None and relres <= config.tol
+                        or not relres <= DIVERGENCE_FACTOR):
+                    true = relative_residual(
+                        oracle, averager.average() if averaging() else iterate, Y2, pool)
+                    true_checks += 1
+                    max_gap = max(max_gap, abs(relres - true))
+                    relres = true
             trace.record(iters_done, iters_done * blocksize / n, relres, stepsize)
             if relres > DIVERGENCE_FACTOR:
                 diverged = True
@@ -275,28 +332,38 @@ def _drive(oracle, Y2, vector, config, blocksize, total, prepare, step, iterate,
     finally:
         if pending is not None and not pending.cancel():
             pending.exception()  # wait for the unused look-ahead and drop its outcome
-    W_out = reported()
+    W_out = averager.average() if averaging() else iterate
     passes = iters_done * blocksize / n
-    return SolveResult(W_out[:, 0] if vector else W_out, trace, diverged, iters_done, passes)
+    return SolveResult(W_out[:, 0] if vector else W_out, trace, diverged, iters_done, passes,
+                       true_checks, max_gap)
 
 
 # ---------------------------------------------------------------------------
 # exact sketch-and-project
 
 
-def sap_step(oracle, W, Y, block, H, pool=None):
+def sap_step(oracle, W, r, block, H, pool=None):
     """One exact projection step: zeroes the block rows of the residual.
 
-    Solves H d = (K[B,:] + lam I[B,:]) W - Y[B] by LU, where H is
-    K[B,B] + lam I, and subtracts d from the block rows of W in place.
+    ``r`` is the carried residual (K + lam I) W - Y. Solves H d = r[B] by LU,
+    where H is K[B,B] + lam I, then in place subtracts d from the block rows
+    of W and (K + lam I)[:, B] d from r, in one column pass on ``pool``.
+    Returns ||r||^2 after the step.
     """
-    grad = col_dist_matmul(oracle, W, block, pool) + oracle.lam * W[block] - Y[block]
     try:
-        W[block] -= np.linalg.solve(H, grad)
+        d = np.linalg.solve(H, r[block])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             "block system factorization failed; lam may be too small for float64"
         ) from exc
+    W[block] -= d
+
+    def update(rows, local, pos, AD):
+        tile = r[rows]
+        tile -= AD
+        return _sumsq(tile)
+
+    return col_dist_update(oracle, d, block, update, pool)
 
 
 def sap_solve(oracle, Y, config, dpp_model=None, pool=None, on_iterate=None):
@@ -320,6 +387,7 @@ def sap_solve(oracle, Y, config, dpp_model=None, pool=None, on_iterate=None):
         blocksize = resolve_blocksize(config, n)
     total = budget_iterations(config, blocksize / n)
     W = np.zeros((n, Y2.shape[1]))
+    r = -Y2
     drawn = []
 
     def prepare(t):
@@ -336,11 +404,10 @@ def sap_solve(oracle, Y, config, dpp_model=None, pool=None, on_iterate=None):
         return block, H
 
     def step(prepared):
-        sap_step(oracle, W, Y2, *prepared, pool)
-        return 1.0
+        return 1.0, sap_step(oracle, W, r, *prepared, pool)
 
-    return _drive(oracle, Y2, vector, config, blocksize, total, prepare, step, W, on_iterate,
-                  tail_average=config.tail_average, pool=pool)
+    return _drive(oracle, Y2, vector, config, blocksize, total, prepare, step, W, r,
+                  on_iterate, pool=pool)
 
 
 # ---------------------------------------------------------------------------
@@ -373,17 +440,30 @@ def adasap_prepare(oracle, config, t, blocksize, omega, kbb):
     return block, factor, rho, eta
 
 
-def adasap_step(oracle, W, V, Z, scratch, Y, prepared, accel, pool=None):
-    """One approximately preconditioned accelerated step: the block-row
-    product at the extrapolated point Z, then the Nesterov update of W, V
-    and Z in place (``nesterov_update``, which needs four distinct arrays).
-    ``prepared`` is ``adasap_prepare``'s tuple. Returns the stepsize.
+def adasap_step(oracle, W, V, Z, r_V, r_Z, prepared, accel, pool=None, r_W=None):
+    """One approximately preconditioned accelerated step on carried residuals.
+
+    ``r_V`` and ``r_Z`` are the residuals (K + lam I) X - Y of V and Z. The
+    gradient is r_Z[B], and D its damped inverse apply. One column pass on
+    ``pool`` then runs ``nesterov_update`` tile by tile: on the rows of W, V
+    and Z with direction D on the block, and on the residuals with direction
+    (K + lam I)[:, B] D. W's residual is formed tile by tile, into ``r_W`` if
+    given. The arrays must be distinct. ``prepared`` is ``adasap_prepare``'s
+    tuple. Returns (stepsize, ||r_W||^2).
     """
+    arrays = (W, V, Z, r_V, r_Z) + (() if r_W is None else (r_W,))
+    _check_distinct(arrays, "the accelerated step needs distinct iterate and residual arrays")
     block, factor, rho, eta = prepared
-    grad = col_dist_matmul(oracle, Z, block, pool) + oracle.lam * Z[block] - Y[block]
-    nesterov_update(W, V, Z, block, apply_inv(factor, rho, grad), eta,
-                    accel.beta, accel.gamma, accel.alpha, scratch)
-    return eta
+    D = apply_inv(factor, rho, r_Z[block])
+    coeffs = (eta, accel.beta, accel.gamma, accel.alpha)
+
+    def update(rows, local, pos, AD):
+        nesterov_update(W[rows], V[rows], Z[rows], local, D[pos], *coeffs)
+        tile = np.empty(AD.shape) if r_W is None else r_W[rows]
+        nesterov_update(tile, r_V[rows], r_Z[rows], slice(None), AD, *coeffs)
+        return _sumsq(tile)
+
+    return eta, col_dist_update(oracle, D, block, update, pool)
 
 
 def adasap_solve(oracle, Y, config, identity_precond=False, pool=None, on_iterate=None,
@@ -394,6 +474,7 @@ def adasap_solve(oracle, Y, config, identity_precond=False, pool=None, on_iterat
     ablation (subspace preconditioner replaced by the identity). ``accel``
     overrides the config-derived momentum coefficients.
     """
+    config.reject_ignored("adasap_i" if identity_precond else "adasap")
     n = oracle.n
     Y2, vector = _as_columns(Y, n)
     blocksize = resolve_blocksize(config, n)
@@ -404,16 +485,35 @@ def adasap_solve(oracle, Y, config, identity_precond=False, pool=None, on_iterat
                                                         resolve_rank(config, blocksize))
     total = budget_iterations(config, blocksize / n)
     W = np.zeros((n, Y2.shape[1]))
-    V, Z, scratch = W.copy(), W.copy(), np.empty_like(W)
+    V, Z = W.copy(), W.copy()
+    r_V, r_Z = -Y2, -Y2
+    r_W = -Y2 if config.tail_average else None  # the averager reads W's residual
     kbb = np.empty((blocksize, blocksize))  # preparations never overlap: one buffer serves all
     return _drive(oracle, Y2, vector, config, blocksize, total,
                   lambda t: adasap_prepare(oracle, config, t, blocksize, omega, kbb),
-                  lambda prepared: adasap_step(oracle, W, V, Z, scratch, Y2, prepared, accel, pool),
-                  W, on_iterate, tail_average=config.tail_average, pool=pool)
+                  lambda prepared: adasap_step(oracle, W, V, Z, r_V, r_Z, prepared, accel, pool,
+                                               r_W),
+                  W, r_W, on_iterate, pool=pool)
 
 
 # ---------------------------------------------------------------------------
 # stochastic dual descent baseline
+
+
+def _momentum_update(velocity, w, estimate, rows, direction, eta, avg_weight):
+    """One heavy-ball step with geometric averaging, in place:
+
+    velocity' = 0.9 velocity - eta D;  w' = w + velocity';
+    estimate' = estimate + avg_weight (w' - estimate),
+
+    where D is ``direction`` on ``rows`` and zero elsewhere. Applied to the
+    system products ((K + lam I) velocity, and the residuals of w and
+    estimate) with direction (K + lam I) D, it carries them too.
+    """
+    velocity *= SDD_MOMENTUM
+    velocity[rows] -= eta * direction
+    w += velocity
+    estimate += avg_weight * (w - estimate)
 
 
 def sdd_solve(oracle, Y, config, pool=None, on_iterate=None):
@@ -422,31 +522,37 @@ def sdd_solve(oracle, Y, config, pool=None, on_iterate=None):
 
     The raw block gradient is applied with stepsize scale/n, momentum 0.9,
     and averaging parameter 100/T. The reported iterate is the geometric
-    average; divergence is detected by the shared block-solver loop.
+    average. The gradient is read from the carried residual of w, and one
+    column pass per step carries (K + lam I) velocity and the residuals of w
+    and of the average; divergence is detected by the shared block-solver loop.
     """
+    config.reject_ignored("sdd")
     n = oracle.n
-    lam = oracle.lam
     Y2, vector = _as_columns(Y, n)
     blocksize = resolve_blocksize(config, n)
     total = budget_iterations(config, blocksize / n)
     eta = float(config.stepsize_scale) / n
     avg_weight = min(1.0, 100.0 / total)
-    w = np.zeros_like(Y2)
-    velocity = np.zeros_like(Y2)
-    estimate = np.zeros_like(Y2)
+    w, velocity, estimate, A_velocity = (np.zeros_like(Y2) for _ in range(4))
+    r_w, r_estimate = -Y2, -Y2
 
     def step(block):
+        grad = r_w[block]
+
+        def update(rows, local, pos, AD):
+            with np.errstate(over="ignore", invalid="ignore"):
+                _momentum_update(velocity[rows], w[rows], estimate[rows], local, grad[pos],
+                                 eta, avg_weight)
+                _momentum_update(A_velocity[rows], r_w[rows], r_estimate[rows], slice(None),
+                                 AD, eta, avg_weight)
+                return _sumsq(r_estimate[rows])
+
         with np.errstate(over="ignore", invalid="ignore"):
-            grad = col_dist_matmul(oracle, w, block, pool) + lam * w[block] - Y2[block]
-            velocity[...] *= SDD_MOMENTUM
-            velocity[block] -= eta * grad
-            w[...] += velocity
-            estimate[...] += avg_weight * (w - estimate)
-        return eta
+            return eta, col_dist_update(oracle, grad, block, update, pool)
 
     return _drive(oracle, Y2, vector, config, blocksize, total,
                   lambda t: _uniform_block(config.seed, t, n, blocksize), step,
-                  estimate, on_iterate, pool=pool)
+                  estimate, r_estimate, on_iterate, pool=pool)
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +569,7 @@ def pcg_solve(oracle, Y, config, pool=None, on_iterate=None):
     Passes count one per iteration plus one for the Nystrom sketch K @ Omega.
     The matvecs and the sketch run on ``pool``.
     """
+    config.reject_ignored("pcg")
     n = oracle.n
     lam = oracle.lam
     Y2, vector = _as_columns(Y, n)
@@ -490,7 +597,7 @@ def pcg_solve(oracle, Y, config, pool=None, on_iterate=None):
     P = Zp.copy()
     rz = np.einsum("ij,ij->j", R, Zp)
     col_norms = np.maximum(np.linalg.norm(Y2, axis=0), np.finfo(np.float64).tiny)
-    ynorm = max(np.linalg.norm(Y2), np.finfo(np.float64).tiny)
+    ynorm = _norm_floor(Y2)
     trace = ConvergenceTrace()
     iters_done = 0
     for t in range(total):
@@ -526,7 +633,6 @@ def pcg_solve(oracle, Y, config, pool=None, on_iterate=None):
 def solve(oracle, Y, config, dpp_model=None, pool=None, on_iterate=None):
     """Run the solver selected by ``config.solver_id``; a setting that solver
     would ignore is a ConfigError."""
-    config.reject_ignored()
     own_pool = None
     if pool is None and config.num_workers > 1:
         own_pool = pool = WorkerPool(config.num_workers)

@@ -49,6 +49,26 @@ def test_solve_synthetic_writes_outputs(tmp_path):
     result = json.loads((out / "result.json").read_text())
     assert result["diverged"] is False
     assert result["final_residual"] < 1e-2
+    # a budget stop: the last row is carried, and the true residual sits beside it
+    assert result["true_checks"] == 0 and result["max_residual_gap"] == 0.0
+    assert result["final_true_residual"] == pytest.approx(result["final_residual"], rel=1e-8)
+
+
+def test_solve_tol_stop_reports_its_true_check(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        {
+            "problem": {"type": "synthetic", "n": 200, "beta": 2.0},
+            "run": {"lam": 1e-2, "solver_id": "adasap", "blocksize": 20, "tol": 1e-2,
+                    "max_passes": 30, "residual_every": 10, "seed": 1},
+        },
+    )
+    out = tmp_path / "out"
+    assert run_cli("--config", cfg, "--out", str(out), "solve") == 0
+    result = json.loads((out / "result.json").read_text())
+    assert result["passes"] < 30 and result["true_checks"] == 1
+    assert result["final_true_residual"] == result["final_residual"] <= 1e-2
+    assert 0.0 <= result["max_residual_gap"] < 1e-12
 
 
 def test_solve_divergence_exit_code(tmp_path):
@@ -150,6 +170,27 @@ def test_infer_with_samples_and_determinism(tmp_path):
     assert (out1 / "metrics.json").read_bytes() == (out2 / "metrics.json").read_bytes()
     header = (out1 / "predictions.csv").read_text().splitlines()[0]
     assert header.startswith("point_id,mean,variance,sample_0")
+
+
+def test_infer_diverged_solve_exits_2_without_predictions(tmp_path, capsys):
+    data = sine_csv(tmp_path)
+    cfg = write_config(
+        tmp_path,
+        {
+            "problem": {"type": "csv", "path": data, "target_column": "y",
+                        "test_fraction": 0.2},
+            "kernel": {"family": "rbf", "lengthscales": 1.0},
+            "run": {"lam": 0.05, "solver_id": "sdd", "stepsize_scale": 1e4,
+                    "max_passes": 20, "seed": 3},
+            "infer": {"num_samples": 0},
+        },
+    )
+    out = tmp_path / "o"
+    assert run_cli("--config", cfg, "--out", str(out), "infer") == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: the solve diverged after ")
+    assert not (out / "predictions.csv").exists()
+    assert not (out / "metrics.json").exists()
 
 
 def test_infer_without_samples_omits_nll(tmp_path):

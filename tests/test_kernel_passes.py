@@ -76,15 +76,22 @@ def test_symmetric_pair_matmul(family, n, seed, cols):
 
 
 def reference_sap(oracle, Y, blocksize, iters, seed):
-    """Sketch-and-project written out: K[B,B] from ``oracle.block``, no look-ahead."""
+    """Sketch-and-project written out on the carried residual r = (K + lam I) W - Y:
+    K[B,B] from ``oracle.block``, r's update from the column tiles K[B, rows], no look-ahead."""
     n = oracle.n
     W = np.zeros_like(Y)
+    r = -Y
     for t in range(iters):
         block = np.sort(substream(seed, "block", t).choice(n, size=blocksize, replace=False))
-        grad = col_dist_matmul(oracle, W, block) + oracle.lam * W[block] - Y[block]
         H = oracle.block(block)
         H[np.diag_indices_from(H)] += oracle.lam
-        W[block] -= np.linalg.solve(H, grad)
+        d = np.linalg.solve(H, r[block])
+        W[block] -= d
+        for start, stop in tile_ranges(n):
+            AD = (d.T @ oracle.tile(block, range(start, stop))).T
+            inside = (block >= start) & (block < stop)
+            AD[block[inside] - start] += oracle.lam * d[inside]
+            r[start:stop] -= AD
     return W
 
 

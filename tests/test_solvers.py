@@ -1,3 +1,4 @@
+import math
 import time
 from types import SimpleNamespace
 
@@ -20,6 +21,7 @@ from sapgp import (
     adasap_step,
     nesterov_update,
     pcg_solve,
+    relative_residual,
     sap_solve,
     sap_step,
     sdd_solve,
@@ -28,7 +30,7 @@ from sapgp import (
 from sapgp.dist import TILE
 from sapgp.randnla import rand_power_stepsize
 from sapgp.rng import substream
-from sapgp.solvers import TailAverager, adasap_prepare, resolve_accel
+from sapgp.solvers import TailAverager, _drive, adasap_prepare, resolve_accel
 from sapgp.theory import SyntheticSpectrumProblem
 
 
@@ -62,7 +64,7 @@ def test_accel_params_positive():
 def updated(W, V, Z, block, d, eta, beta, gamma, alpha):
     """Copies of (W, V, Z) after the in-place ``nesterov_update``."""
     Wn, Vn, Zn = W.copy(), V.copy(), Z.copy()
-    nesterov_update(Wn, Vn, Zn, block, d, eta, beta, gamma, alpha, np.empty_like(W))
+    nesterov_update(Wn, Vn, Zn, block, d, eta, beta, gamma, alpha)
     return Wn, Vn, Zn
 
 
@@ -111,10 +113,10 @@ def test_nesterov_in_place_matches_out_of_place(seed):
 def test_nesterov_rejects_aliased_arrays():
     W = np.zeros((4, 1))
     with pytest.raises(ContractError):
-        nesterov_update(W, W, W, np.arange(2), np.ones((2, 1)), 1.0, 0.5, 2.0, 0.3, W.copy())
+        nesterov_update(W, W, W, np.arange(2), np.ones((2, 1)), 1.0, 0.5, 2.0, 0.3)
     with pytest.raises(ContractError):
-        nesterov_update(W, W.copy(), W.copy(), np.arange(2), np.ones((2, 1)), 1.0, 0.5, 2.0,
-                        0.3, W[:, :1])
+        nesterov_update(W, W.copy(), W[:, :1], np.arange(2), np.ones((2, 1)), 1.0, 0.5, 2.0,
+                        0.3)
 
 
 def test_tail_average_batch_and_streaming():
@@ -155,8 +157,14 @@ def test_tail_average_empty_window():
 # exact sketch-and-project
 
 
+def true_residual(oracle, W, Y):
+    return oracle.matmul(W) + oracle.lam * W - Y
+
+
 def exact_step(oracle, W, Y, block):
-    sap_step(oracle, W, Y, block, oracle.block(block) + oracle.lam * np.eye(block.size))
+    """One ``sap_step`` from W, its residual formed by a full product."""
+    sap_step(oracle, W, true_residual(oracle, W, Y), block,
+             oracle.block(block) + oracle.lam * np.eye(block.size))
 
 
 def orthonormal(dim, rank, seed=0):
@@ -257,19 +265,23 @@ def test_sap_tail_average_of_constant_tail():
 
 
 def _kdpp_reference(problem, model, seed, iters, tol=None):
-    """k-DPP SAP one step at a time, each block drawn on its own: W and the
-    relative residual after every step, stopping once it reaches ``tol``."""
+    """k-DPP SAP one step at a time, each block drawn on its own, carrying the
+    residual as the solver does: W and the recorded relative residual after
+    every step. A carried value at or below ``tol`` is replaced by the true
+    one, which stops the run if it reaches ``tol`` too."""
+    oracle = problem.oracle
     Y = problem.y[:, None]
-    ynorm = max(np.linalg.norm(Y), np.finfo(np.float64).tiny)
     W = np.zeros((problem.n, 1))
+    r = -Y
     residuals = []
     for t in range(iters):
         block = model.sample(substream(seed, "block", t))
-        exact_step(problem.oracle, W, Y, block)
-        res = problem.oracle.matmul(W) + problem.oracle.lam * W - Y
-        residuals.append(float(np.linalg.norm(res) / ynorm))
+        H = oracle.block(block) + oracle.lam * np.eye(block.size)
+        residuals.append(math.sqrt(sap_step(oracle, W, r, block, H)) / np.linalg.norm(Y))
         if tol is not None and residuals[-1] <= tol:
-            break
+            residuals[-1] = relative_residual(oracle, W, Y)
+            if residuals[-1] <= tol:
+                break
     return W[:, 0], np.array(residuals)
 
 
@@ -345,9 +357,9 @@ def test_adasap_full_rank_matches_sap_direction():
     cfg = RunConfig(lam=0.4, solver_id="adasap", blocksize=n, nystrom_rank=n,
                     max_iters=1, mu=1.0, nu=1.0, residual_every=0)
     accel = resolve_accel(cfg, oracle.lam, n, n)
-    W, V, Z, scratch = (np.zeros((n, 1)) for _ in range(4))
+    W, V, Z = (np.zeros((n, 1)) for _ in range(3))
     prepared = adasap_prepare(oracle, cfg, 0, n, orthonormal(n, n), np.empty((n, n)))
-    eta = adasap_step(oracle, W, V, Z, scratch, y, prepared, accel)
+    eta, _ = adasap_step(oracle, W, V, Z, -y, -y, prepared, accel)
     assert abs(eta - 1.0) <= 1e-6
     W_sap = np.zeros((n, 1))
     exact_step(oracle, W_sap, y, np.arange(n))
@@ -363,11 +375,11 @@ def test_adasap_step_rejects_an_aliased_state():
     cfg = RunConfig(lam=0.3, solver_id="adasap", blocksize=6, max_iters=1)
     accel = resolve_accel(cfg, oracle.lam, 30, 6)
     prepared = adasap_prepare(oracle, cfg, 0, 6, orthonormal(6, 6), np.empty((6, 6)))
-    W, V, Z, scratch = (np.zeros((30, 1)) for _ in range(4))
+    W, V, Z = (np.zeros((30, 1)) for _ in range(3))
     with pytest.raises(ContractError):
-        adasap_step(oracle, W, W, W, scratch, y, prepared, accel)  # V and Z alias W
+        adasap_step(oracle, W, W, W, -y, -y, prepared, accel)  # V and Z alias W
     with pytest.raises(ContractError):
-        adasap_step(oracle, W, V, Z, V, y, prepared, accel)  # scratch aliases V
+        adasap_step(oracle, W, V, Z, V, -y, prepared, accel)  # r_V aliases V
 
 
 @pytest.mark.parametrize("lam", [1e-15, 4 * np.finfo(np.float64).eps])
@@ -465,6 +477,26 @@ def test_solve_rejects_tail_average_the_solver_ignores(solver_id):
     message = rf"^run\.tail_average = true is ignored by solver '{solver_id}'"
     with pytest.raises(ConfigError, match=message):
         solve(oracle, rng.standard_normal(10), cfg)
+
+
+@pytest.mark.parametrize("entry, setting, message", [
+    (sdd_solve, dict(solver_id="sdd", tail_average=True), r"^run\.tail_average = true"),
+    (pcg_solve, dict(solver_id="pcg", tail_average=True), r"^run\.tail_average = true"),
+    (adasap_solve, dict(solver_id="adasap", sampler="kdpp"), r'^run\.sampler = "kdpp"'),
+])
+def test_entry_points_reject_settings_they_ignore(entry, setting, message):
+    oracle, rng = rbf_oracle(10, 0.5)
+    cfg = RunConfig(lam=0.5, blocksize=4, nystrom_rank=2, max_iters=2, **setting)
+    with pytest.raises(ConfigError, match=message):
+        entry(oracle, rng.standard_normal(10), cfg)
+
+
+def test_entry_point_check_follows_the_function_not_solver_id():
+    # adasap_solve with identity_precond runs adasap_i, whatever solver_id says
+    oracle, rng = rbf_oracle(10, 0.5)
+    cfg = RunConfig(lam=0.5, solver_id="sdd", blocksize=4, max_iters=2, tail_average=True)
+    result = adasap_solve(oracle, rng.standard_normal(10), cfg, identity_precond=True)
+    assert result.iterations == 2
 
 
 def test_sap_kdpp_without_model_names_the_setting():
@@ -628,8 +660,104 @@ def test_edge_sizes_full_block_bitwise_across_workers(solver_id, n):
                        max_iters=3, residual_every=1, seed=5, stepsize_scale=1.0)
     serial = assert_bitwise_for_every_pool(oracle, Y, config)
     assert not serial.diverged and serial.iterations == 3 and serial.passes == 3.0
-    res = oracle.matmul(serial.W) + oracle.lam * serial.W - Y
-    assert serial.trace.final_residual() == float(np.linalg.norm(res) / np.linalg.norm(Y))
+    # a budget stop keeps the carried residual in its last row: no full product ran
+    assert serial.true_checks == 0
+    gap = abs(serial.trace.final_residual() - relative_residual(oracle, serial.W, Y))
+    assert gap <= rounding_floor(oracle, np.linalg.norm(serial.W), Y)
+
+
+# ---------------------------------------------------------------------------
+# carried residuals
+
+
+def rounding_floor(oracle, xnorm, Y):
+    """eps ||K + lam I||_2 ||X|| / ||Y||: the rounding error of one true
+    relative residual of an iterate of norm ``xnorm``, which bounds how well
+    a carried residual can be checked."""
+    anorm = np.linalg.norm(oracle.dense(), 2) + oracle.lam
+    return np.finfo(np.float64).eps * anorm * xnorm / np.linalg.norm(Y)
+
+
+CARRIED_CASES = [(TILE - 1, TILE - 1), (TILE + 1, TILE + 1), (2 * TILE + 1, 50)]
+
+
+@pytest.mark.parametrize("n, blocksize", CARRIED_CASES)
+@pytest.mark.parametrize("solver_id, tail_average", [
+    ("sap", False), ("sap", True), ("adasap", False), ("adasap", True),
+    ("adasap_i", False), ("adasap_i", True), ("sdd", False)])
+def test_carried_rows_match_true_residuals(solver_id, tail_average, n, blocksize):
+    # every row is carried (no tol, no divergence), and each one agrees with the
+    # true residual of the iterate the solver would return after that step
+    oracle, rng = rbf_oracle(n, 1e-2, seed=n)
+    Y = rng.standard_normal((n, 2))
+    iters = 6 if blocksize == n else 40
+    config = RunConfig(lam=1e-2, solver_id=solver_id, blocksize=blocksize,
+                       nystrom_rank=min(blocksize, 30), max_iters=iters, residual_every=1,
+                       seed=2, stepsize_scale=1.0, tail_average=tail_average)
+    averager = TailAverager(iters, Y.shape)
+    true, xnorm = [], 0.0
+
+    def on_iterate(index, X):
+        nonlocal xnorm
+        averager.add(index, X)
+        if tail_average and averager.count:
+            X = averager.average()
+        true.append(relative_residual(oracle, X, Y))
+        xnorm = max(xnorm, np.linalg.norm(X))
+
+    serial = solve_on(oracle, Y, config, None, on_iterate)
+    assert serial.true_checks == 0 and serial.iterations == iters
+    carried = serial.trace.residuals()
+    assert np.abs(carried - np.array(true)).max() <= rounding_floor(oracle, xnorm, Y)
+    pooled = solve_on(oracle, Y, config, 2)
+    assert np.array_equal(pooled.trace.residuals(), carried)
+    assert np.array_equal(pooled.W, serial.W)
+
+
+class CountingOracle:
+    """A kernel oracle that counts its full products ``matmul``."""
+
+    def __init__(self, inner):
+        self.inner, self.n, self.lam = inner, inner.n, inner.lam
+        self.tile, self.block = inner.tile, inner.block
+        self.matmuls = 0
+
+    def matmul(self, M, pool=None):
+        self.matmuls += 1
+        return self.inner.matmul(M, pool)
+
+
+def test_tol_stopped_adasap_makes_one_true_check():
+    inner, rng = rbf_oracle(600, 1e-2, seed=8)
+    oracle = CountingOracle(inner)
+    y = rng.standard_normal(600)
+    config = RunConfig(lam=1e-2, solver_id="adasap", blocksize=60, nystrom_rank=30,
+                       tol=0.05, max_passes=40, residual_every=10, seed=3)
+    result = solve(oracle, y, config)
+    assert not result.diverged and result.passes < 40  # stopped by tol
+    assert oracle.matmuls == result.true_checks == 1
+    # the stopping row is the true residual of the returned iterate
+    assert result.trace.final_residual() == relative_residual(inner, result.W, y)
+    assert result.trace.final_residual() <= 0.05
+    assert 0.0 <= result.max_residual_gap <= rounding_floor(inner, np.linalg.norm(result.W), y)
+
+
+@pytest.mark.parametrize("claimed, row", [(0.0, 1.0), (1e20, 1.0)])
+def test_failed_confirm_records_the_true_value_and_goes_on(claimed, row):
+    # a step that claims a residual far from the truth: W stays 0, so the true
+    # relative residual is 1; every due row confirms the claimed stop and fails
+    oracle, rng = rbf_oracle(20, 0.5)
+    Y2 = rng.standard_normal((20, 1))
+    W = np.zeros((20, 1))
+    config = RunConfig(lam=0.5, max_iters=6, residual_every=2, tol=0.5)
+    result = _drive(oracle, Y2, False, config, 5, 6, lambda t: None,
+                    lambda prepared: (1.0, claimed), W, None, None)
+    assert not result.diverged and result.iterations == 6
+    assert result.true_checks == 3
+    assert result.max_residual_gap == abs(math.sqrt(claimed) / np.linalg.norm(Y2) - row)
+    residuals = result.trace.residuals()
+    assert np.array_equal(residuals[1::2], [row] * 3)
+    assert np.isnan(residuals[0::2]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -648,13 +776,19 @@ def test_look_ahead_bitwise_for_every_pool(solver_id):
 
 class SlowBlocks:
     """A kernel oracle whose ``block`` sleeps, and raises NumericalError on
-    call number ``fail_at`` (0-based); each sap step's preparation calls it once."""
+    call number ``fail_at`` (0-based); each sap step's preparation calls it once.
+    ``tile`` sleeps ``tile_delay``, so a step's column pass takes that long."""
 
-    def __init__(self, inner, delay=0.0, fail_at=None):
+    def __init__(self, inner, delay=0.0, fail_at=None, tile_delay=0.0):
         self.inner, self.delay, self.fail_at = inner, delay, fail_at
+        self.tile_delay = tile_delay
         self.n, self.lam = inner.n, inner.lam
-        self.tile, self.matmul = inner.tile, inner.matmul
+        self.matmul = inner.matmul
         self.calls = 0
+
+    def tile(self, rows, cols):
+        time.sleep(self.tile_delay)
+        return self.inner.tile(rows, cols)
 
     def block(self, block):
         call, self.calls = self.calls, self.calls + 1
@@ -701,10 +835,11 @@ def test_failed_preparation_raises_at_its_own_step(workers):
     with pytest.raises(NumericalError, match="planted failure in block call 4"):
         solve_on(oracle, y, config, workers, on_iterate=lambda i, W: seen.append(i))
     assert seen == [1, 2, 3, 4]  # steps 0..3 ran, step 4 did not
-    # a tol stop at step 3 discards the failing prepare(4) without raising
+    # a tol stop at step 3 discards the failing prepare(4) without raising; the
+    # slow column pass of step 3 gives the look-ahead time to start prepare(4)
     stopping = RunConfig(lam=1e-2, solver_id="sap", blocksize=30, max_iters=20, tol=1e9,
                          residual_every=fail_at)
-    oracle = SlowBlocks(inner, fail_at=fail_at)
+    oracle = SlowBlocks(inner, fail_at=fail_at, tile_delay=0.05)
     result = solve_on(oracle, y, stopping, workers)
     assert result.iterations == fail_at
     assert oracle.calls == (fail_at + 1 if workers and workers > 1 else fail_at)
