@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, apply_overrides, kernel_from_dict, load_config, read_section
 from .data import load_csv, standardize, train_test_split
-from .dist import WorkerPool, col_dist_matmul, row_dist_matmul
+from .dist import WorkerPool, col_dist_matmul, col_dist_update, row_dist_matmul
 from .errors import ConfigError, DivergedError, SapgpError
 from .gp import RandomFeatureMap, RandomFeaturePrior, mean_nll, pathwise_sample, rmse
 from .kernels import KernelOracle
@@ -296,7 +296,21 @@ def cmd_bench(args):
     W = rng.standard_normal((n, 4))
     omega = rng.standard_normal((blocksize, min(32, blocksize)))
     counts = sorted({1, 2, 4, run_config.num_workers})
+
+    def update_pass(pool=None):
+        """The block steps' pass: (K + lam I)[:, B] W[B] off a copy of W, with
+        the sum of squares of the result."""
+        target = W.copy()
+
+        def update(rows, local, pos, AD):
+            tile = target[rows]
+            tile -= AD
+            return float(tile.ravel() @ tile.ravel())
+
+        return target, col_dist_update(oracle, W[block], block, update, pool)
+
     ref_col = col_dist_matmul(oracle, W, block)
+    ref_upd, ref_sumsq = update_pass()
     ref_row = row_dist_matmul(oracle, omega, block)
     ref_full = oracle.matmul(W)
     rows = []
@@ -306,12 +320,17 @@ def cmd_bench(args):
             col = col_dist_matmul(oracle, W, block, pool)
             col_secs = time.perf_counter() - start
             start = time.perf_counter()
+            upd, sumsq = update_pass(pool)
+            upd_secs = time.perf_counter() - start
+            start = time.perf_counter()
             row = row_dist_matmul(oracle, omega, block, pool)
             row_secs = time.perf_counter() - start
             start = time.perf_counter()
             full = oracle.matmul(W, pool)
             full_secs = time.perf_counter() - start
         rows.append(("col_dist_matmul", workers, col_secs, float(np.abs(col - ref_col).max())))
+        upd_diff = max(float(np.abs(upd - ref_upd).max()), abs(sumsq - ref_sumsq))
+        rows.append(("col_dist_update", workers, upd_secs, upd_diff))
         rows.append(("row_dist_matmul", workers, row_secs, float(np.abs(row - ref_row).max())))
         rows.append(("matmul", workers, full_secs, float(np.abs(full - ref_full).max())))
     with open(out_dir / "bench.csv", "w") as handle:

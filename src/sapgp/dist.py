@@ -3,13 +3,16 @@
 Partial products are always computed at a fixed tile granularity and combined
 in ascending task order, so a product is bit-identical for every worker
 count: changing ``num_workers`` only changes which tasks each worker executes,
-never the arithmetic.
+never the arithmetic. Products that fold arrays stream them through
+``_ordered``; the column pass, whose tiles return floats, runs one claimer
+task per worker (``_claimed``).
 """
 
 from __future__ import annotations
 
 import collections
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -103,6 +106,45 @@ def _ordered(pool, count, task):
             fut.cancel()
 
 
+def _claimed(pool, count, task):
+    """``[task(i) for i in range(count)]``, on one claimer task per worker.
+
+    Each claimer takes the next index from a shared counter under a lock and
+    stores its result, so the pool gets at most ``num_workers`` tasks however
+    many tiles there are, and workers freed early (say by the look-ahead
+    preparation finishing) claim what is left. Results come back in index
+    order. A failing task stops further claims and raises WorkerError naming
+    the lowest failed index. With no pool or one worker the tasks run inline.
+    Every result is held at once, so it suits small results such as floats.
+    """
+    if pool is None or pool.num_workers == 1 or count <= 1:
+        return [task(i) for i in range(count)]
+    results = [None] * count
+    failures = []
+    lock = threading.Lock()
+    claims = iter(range(count))
+
+    def claimer():
+        while True:
+            with lock:
+                i = None if failures else next(claims, None)
+            if i is None:
+                return
+            try:
+                results[i] = task(i)
+            except Exception as exc:  # stop the claims; the caller raises
+                with lock:
+                    failures.append((i, exc))
+                return
+
+    for future in [pool.submit(claimer) for _ in range(min(pool.num_workers, count))]:
+        future.result()
+    if failures:
+        i, exc = min(failures, key=lambda failure: failure[0])
+        raise WorkerError(f"worker task {i} failed: {exc}") from exc
+    return results
+
+
 def check_indices(block, n):
     """Validate a row-index block: in range, no duplicates (no ``np.unique`` if sorted)."""
     block = np.asarray(block, dtype=np.intp).ravel()
@@ -147,10 +189,10 @@ def col_dist_update(oracle, D, block, update, pool=None):
     ``lam D[pos]`` on the rows ``local`` = ``block[pos] - rows.start`` that
     the block shares with the tile (``lam`` is ``oracle.lam``). A block
     shorter than TILE gets tiles TILE // b times as wide, so each task still
-    covers about TILE x TILE entries. Calls run as tasks on ``pool``, so
-    ``update`` must write only its own rows. The floats they return are
-    summed in ascending tile order, so the sum is bit-identical for every
-    worker count.
+    covers about TILE x TILE entries. Calls run on ``pool``'s claimer tasks
+    (``_claimed``), so ``update`` must write only its own rows. The floats
+    they return are summed in ascending tile order after the pass, so the sum
+    is bit-identical for every worker count.
     """
     n = oracle.n
     block = check_indices(block, n)
@@ -168,7 +210,7 @@ def col_dist_update(oracle, D, block, update, pool=None):
         return update(slice(start, stop), local, pos, AD)
 
     total = 0.0
-    for part in _ordered(pool, len(tiles), task):
+    for part in _claimed(pool, len(tiles), task):
         total += part
     return total
 

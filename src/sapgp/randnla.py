@@ -1,9 +1,13 @@
 """Randomized Nystrom factors, damped applications, and powering.
 
 The factor (U, S) approximates a PSD matrix M as U diag(S) U^T, following the
-numerically stable sketch route of Tropp et al. (shift, Cholesky, triangular
-solve, thin SVD, shift removal). Applications always damp the factor as
-U diag(S) U^T + rho*I with rho > 0, by the closed form for orthonormal U.
+numerically stable sketch route of Tropp et al. (shift, Cholesky, the factor
+F = sketch chol^-T, its eigenpairs, shift removal). The eigenpairs come from
+the r x r Gram matrix F^T F = V diag(sigma^2) V^T as U = F V / sigma; when that
+U is not orthonormal to ORTHONORMAL_TOL (a rank-deficient or badly conditioned
+F), the same call takes them from the thin SVD of F instead. Applications
+always damp the factor as U diag(S) U^T + rho*I with rho > 0, by the closed
+form for orthonormal U.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from .errors import ContractError, NumericalError
 from .rng import as_generator
 
 SHIFT_ESCALATIONS = (1.0, 1e4, 1e8)  # multiples of the eps trace shift
+ORTHONORMAL_TOL = 1e-12  # max |U^T U - I| the Gram route must meet, else thin SVD
 
 
 @dataclass(frozen=True)
@@ -87,11 +92,28 @@ def rand_nystrom(sketch, omega, rank, shift_scale=1.0):
             raise NumericalError(
                 "Cholesky of the shifted Gram failed; retry with a larger shift"
             ) from exc
-        half = np.linalg.solve(chol, sketch.T).T  # sketch @ chol^-T
+        half = sketch @ np.linalg.inv(chol).T  # sketch @ chol^-T
 
-    U, sig, _ = np.linalg.svd(half, full_matrices=False)
-    S = np.maximum(sig * sig - shift, 0.0)
+    U, sig2 = _gram_eigenpairs(half)
+    if U is None:
+        U, sig, _ = np.linalg.svd(half, full_matrices=False)
+        sig2 = sig * sig
+    S = np.maximum(sig2 - shift, 0.0)
     return NystromFactor(U, S)
+
+
+def _gram_eigenpairs(half):
+    """(U, sigma^2) of half = U diag(sigma) V^T from eigh(half^T half), sigma
+    descending, or (None, None) when U = half V / sigma is not orthonormal to
+    ORTHONORMAL_TOL (one r x r GEMM checks it)."""
+    evals, V = np.linalg.eigh(half.T @ half)
+    sig2, V = evals[::-1], V[:, ::-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        U = (half @ V) / np.sqrt(sig2)
+        err = np.abs(U.T @ U - np.eye(U.shape[1])).max()
+    if not err <= ORTHONORMAL_TOL:
+        return None, None
+    return U, sig2
 
 
 def rand_nystrom_retry(sketch, omega, rank):
@@ -107,8 +129,9 @@ def rand_nystrom_retry(sketch, omega, rank):
 
 
 def _apply_damped(factor, rho, v, root):
-    """(U S U^T + rho I)^-p v = U (S + rho)^-p U^T v + (v - U U^T v) rho^-p for
-    p = 1/2 if ``root`` else 1; exact because U has orthonormal columns."""
+    """(U S U^T + rho I)^-p v = U ((S + rho)^-p - rho^-p) U^T v + v rho^-p for
+    p = 1/2 if ``root`` else 1: two products with U, exact because U has
+    orthonormal columns. A rank-0 factor gives v / rho^p."""
     if not rho > 0.0:
         raise ContractError("rho must be positive")
     v = np.asarray(v, dtype=np.float64)
@@ -117,9 +140,9 @@ def _apply_damped(factor, rho, v, root):
         return v / damp
     U = factor.U
     Utv = U.T @ v
-    scale = 1.0 / (np.sqrt(factor.S + rho) if root else factor.S + rho)
+    scale = 1.0 / (np.sqrt(factor.S + rho) if root else factor.S + rho) - 1.0 / damp
     scaled = Utv * scale[:, None] if v.ndim == 2 else Utv * scale
-    return U @ scaled + (v - U @ Utv) / damp
+    return U @ scaled + v / damp
 
 
 def apply_inv(factor, rho, g):

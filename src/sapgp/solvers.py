@@ -86,7 +86,7 @@ def nesterov_update(W, V, Z, rows, direction, eta, beta, gamma, alpha):
     subtraction of an exact zero, so the bits are those of the out-of-place
     expression. The coefficients of each line sum to one, so residuals
     (K + lam I) X - Y follow the same update with direction (K + lam I) D:
-    the block solvers call it on row tiles of the iterates and of their
+    ``adasap_step`` calls it once on the iterates and on row tiles of their
     residuals, with one temporary the size of V.
     """
     _check_distinct((W, V, Z), "the accelerated update needs distinct W, V and Z arrays")
@@ -444,9 +444,9 @@ def adasap_step(oracle, W, V, Z, r_V, r_Z, prepared, accel, pool=None, r_W=None)
     """One approximately preconditioned accelerated step on carried residuals.
 
     ``r_V`` and ``r_Z`` are the residuals (K + lam I) X - Y of V and Z. The
-    gradient is r_Z[B], and D its damped inverse apply. One column pass on
-    ``pool`` then runs ``nesterov_update`` tile by tile: on the rows of W, V
-    and Z with direction D on the block, and on the residuals with direction
+    gradient is r_Z[B], and D its damped inverse apply. ``nesterov_update``
+    moves W, V and Z once, with direction D on the block; one column pass on
+    ``pool`` then runs it tile by tile on the residuals, with direction
     (K + lam I)[:, B] D. W's residual is formed tile by tile, into ``r_W`` if
     given. The arrays must be distinct. ``prepared`` is ``adasap_prepare``'s
     tuple. Returns (stepsize, ||r_W||^2).
@@ -456,9 +456,9 @@ def adasap_step(oracle, W, V, Z, r_V, r_Z, prepared, accel, pool=None, r_W=None)
     block, factor, rho, eta = prepared
     D = apply_inv(factor, rho, r_Z[block])
     coeffs = (eta, accel.beta, accel.gamma, accel.alpha)
+    nesterov_update(W, V, Z, block, D, *coeffs)
 
     def update(rows, local, pos, AD):
-        nesterov_update(W[rows], V[rows], Z[rows], local, D[pos], *coeffs)
         tile = np.empty(AD.shape) if r_W is None else r_W[rows]
         nesterov_update(tile, r_V[rows], r_Z[rows], slice(None), AD, *coeffs)
         return _sumsq(tile)

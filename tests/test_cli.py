@@ -276,9 +276,9 @@ def test_bench_writes_timings(tmp_path):
     assert lines[0] == "op,workers,seconds,max_abs_diff_vs_serial"
     diffs = [float(line.split(",")[3]) for line in lines[1:]]
     assert max(diffs) == 0.0
-    assert {line.split(",")[0] for line in lines[1:]} == {
-        "col_dist_matmul", "row_dist_matmul", "matmul"}
-    for op in ("col_dist_matmul", "row_dist_matmul", "matmul"):
+    ops = ("col_dist_matmul", "col_dist_update", "row_dist_matmul", "matmul")
+    assert {line.split(",")[0] for line in lines[1:]} == set(ops)
+    for op in ops:
         found = [line.split(",") for line in lines[1:] if line.startswith(op + ",")]
         assert sorted(int(row[1]) for row in found) == [1, 2, 4]
         assert all(float(row[3]) == 0.0 for row in found)

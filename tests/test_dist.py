@@ -1,8 +1,11 @@
+import sys
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
 from sapgp import ContractError, KernelOracle, KernelSpec, WorkerPool, col_dist_matmul, row_dist_matmul
-from sapgp.dist import check_indices, partition, tile_ranges
+from sapgp.dist import _claimed, check_indices, col_dist_update, partition, tile_ranges
 from sapgp.errors import WorkerError
 
 
@@ -129,3 +132,111 @@ def test_check_indices_errors(block, message):
     else:
         with pytest.raises(ContractError, match=message):
             check_indices(block, 300)
+
+
+class CountingPool(WorkerPool):
+    """A pool that counts the tasks handed to it."""
+
+    def __init__(self, num_workers):
+        super().__init__(num_workers)
+        self.submitted = 0
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        return super().submit(fn, *args)
+
+
+def run_update(oracle, D, block, pool=None):
+    """One column pass subtracting (K + lam I)[:, B] D from a fixed array."""
+    target = np.arange(oracle.n * D.shape[1], dtype=np.float64).reshape(oracle.n, -1) / oracle.n
+
+    def update(rows, local, pos, AD):
+        tile = target[rows]
+        tile -= AD
+        return float(tile.ravel() @ tile.ravel())
+
+    return col_dist_update(oracle, D, block, update, pool), target
+
+
+@pytest.mark.parametrize("n, b", [
+    (700, 300),    # 3 tiles of width TILE
+    (1300, 100),   # b < TILE: 3 tiles of width 2 * TILE
+    (2100, 120),   # b < TILE: 5 tiles of width 2 * TILE
+    (90, 20),      # one widened tile
+])
+def test_col_dist_update_bitwise_across_worker_counts(n, b):
+    oracle, rng = make_oracle(n)
+    block = np.sort(rng.choice(n, b, replace=False))
+    D = rng.standard_normal((b, 2))
+    total, target = run_update(oracle, D, block)
+    K = oracle.dense()
+    want = np.arange(n * 2, dtype=np.float64).reshape(n, 2) / n - K[:, block] @ D
+    want[block] -= oracle.lam * D
+    assert np.abs(target - want).max() < 1e-12
+    assert total == pytest.approx(float(np.sum(target * target)), rel=1e-12)
+    for workers in (1, 2, 3, 4):
+        with CountingPool(workers) as pool:
+            pooled, pooled_target = run_update(oracle, D, block, pool)
+        assert pooled == total
+        assert np.array_equal(pooled_target, target)
+        assert pool.submitted <= workers
+
+
+class InlinePool(WorkerPool):
+    """A pool whose tasks run to completion when submitted, one after another."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class FailingOracle:
+    """Columns [256 * fail, 256 * (fail + 1)) raise; records the tiles asked for."""
+
+    n = 256 * 6
+    lam = 0.1
+
+    def __init__(self, fail):
+        self.fail = fail
+        self.starts = []
+
+    def tile(self, rows, cols):
+        self.starts.append(cols[0])
+        if cols[0] == 256 * self.fail:
+            raise RuntimeError("boom")
+        return np.zeros((len(rows), len(cols)))
+
+
+def test_col_dist_update_failure_names_the_tile():
+    oracle = FailingOracle(fail=2)
+    block = np.arange(300)  # tiles of width TILE: six of them
+    with WorkerPool(2) as pool:
+        with pytest.raises(WorkerError, match="task 2 failed: boom"):
+            col_dist_update(oracle, np.ones((300, 1)), block, lambda *args: 0.0, pool)
+
+
+def test_col_dist_update_claims_no_tile_after_a_failure():
+    oracle = FailingOracle(fail=2)
+    block = np.arange(300)
+    with InlinePool(3) as pool:
+        with pytest.raises(WorkerError, match="task 2 failed"):
+            col_dist_update(oracle, np.ones((300, 1)), block, lambda *args: 0.0, pool)
+    # the first claimer takes tiles 0, 1 and 2 and fails; the others claim nothing
+    assert oracle.starts == [0, 256, 512]
+
+
+def test_claimers_take_every_tile_once_under_fast_thread_switching():
+    calls = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with CountingPool(6) as pool:  # more workers than cores
+            for _ in range(20):
+                calls.clear()
+                results = _claimed(pool, 300, lambda i: calls.append(i) or i * i)
+                assert results == [i * i for i in range(300)]
+                assert sorted(calls) == list(range(300))
+    finally:
+        sys.setswitchinterval(interval)
+    assert pool.submitted == 20 * 6

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sapgp import ContractError, NystromFactor, apply_inv, apply_inv_sqrt, rand_nystrom, rand_power_stepsize
+from sapgp import randnla
 from sapgp.rng import substream
 
 
@@ -51,6 +52,7 @@ def test_orthonormal_columns():
     factor = build_factor(rng, random_psd(rng, 30), 10)
     gram = factor.U.T @ factor.U
     assert np.linalg.norm(gram - np.eye(10)) <= 1e-8
+    assert np.abs(gram - np.eye(10)).max() <= 1e-10
 
 
 def test_eigenvalue_interlacing():
@@ -108,6 +110,67 @@ def test_square_orthonormal_sketch_of_a_rank_deficient_matrix(dim, data):
     omega, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     factor = rand_nystrom(M @ omega, omega, dim)
     assert np.linalg.norm(dense_from(factor) - M) <= 1e-10 * np.linalg.norm(M)
+    assert np.abs(factor.U.T @ factor.U - np.eye(dim)).max() <= 1e-10
+
+
+def record_routes(monkeypatch):
+    """A list that gets "gram" or "svd" for each factor rand_nystrom forms."""
+    routes = []
+    gram_route = randnla._gram_eigenpairs
+
+    def recorded(half):
+        U, sig2 = gram_route(half)
+        routes.append("gram" if U is not None else "svd")
+        return U, sig2
+
+    monkeypatch.setattr(randnla, "_gram_eigenpairs", recorded)
+    return routes
+
+
+def test_rank_deficient_square_sketch_takes_the_svd_route(monkeypatch):
+    # the Gram route's U = F V / sigma is not orthonormal when F is rank
+    # deficient; the guard hands such factors to the thin SVD
+    routes = record_routes(monkeypatch)
+    rng = np.random.default_rng(12)
+    for dim, rank_m in ((20, 1), (20, 5), (30, 29), (8, 0)):
+        G = rng.standard_normal((dim, rank_m))
+        M = G @ G.T
+        omega, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        factor = rand_nystrom(M @ omega, omega, dim)
+        assert np.abs(factor.U.T @ factor.U - np.eye(dim)).max() <= 1e-10
+        assert np.linalg.norm(dense_from(factor) - M) <= 1e-10 * np.linalg.norm(M)
+    assert routes == ["svd"] * 4
+
+
+def matern_block(rng, dim, scale):
+    x = rng.standard_normal((dim, 4)) * scale
+    dist = np.sqrt(3.0) * np.linalg.norm(x[:, None] - x[None], axis=-1)
+    return (1.0 + dist) * np.exp(-dist)
+
+
+@pytest.mark.parametrize("make, rank", [
+    (lambda rng: random_psd(rng, 60), 20),
+    (lambda rng: random_psd(rng, 60), 60),
+    (lambda rng: matern_block(rng, 200, 1.0), 50),
+    (lambda rng: matern_block(rng, 120, 0.5), 30),
+])
+def test_gram_route_matches_the_thin_svd_route(monkeypatch, make, rank):
+    rng = np.random.default_rng(13)
+    M = make(rng)
+    omega, _ = np.linalg.qr(rng.standard_normal((M.shape[0], rank)))
+    sketch = M @ omega
+    routes = record_routes(monkeypatch)
+    factor = rand_nystrom(sketch, omega, rank)
+    assert routes == ["gram"]
+    monkeypatch.setattr(randnla, "_gram_eigenpairs", lambda half: (None, None))
+    ref = rand_nystrom(sketch, omega, rank)
+    assert np.abs(factor.S - ref.S).max() <= 1e-12 * ref.S[0]
+    v = rng.standard_normal((M.shape[0], 3))
+    for lam in (1e-2 * ref.S[0], 1e-6 * ref.S[0]):
+        rho = ref.S[-1] + lam
+        for apply in (apply_inv, apply_inv_sqrt):
+            want = apply(ref, rho, v)
+            assert np.linalg.norm(apply(factor, rho, v) - want) <= 1e-9 * np.linalg.norm(want)
 
 
 def test_rank_deficient_omega_rejected():
