@@ -40,8 +40,7 @@ from .theory import (
 
 EXIT_OK = 0
 EXIT_ERROR = 1
-EXIT_DIVERGED = 2
-EXIT_FAILED = 2
+EXIT_FAILED = 2  # the run finished but its result failed: it diverged, or a suite failed
 
 _SECTIONS = ("problem", "kernel", "run", "infer", "verify")
 
@@ -170,7 +169,7 @@ def cmd_solve(args):
         f"solve: iterations={result.iterations} passes={result.passes:.3f} "
         f"residual={result.trace.final_residual():.3e} diverged={result.diverged}"
     )
-    return EXIT_DIVERGED if result.diverged else EXIT_OK
+    return EXIT_FAILED if result.diverged else EXIT_OK
 
 
 INFER_KEYS = {"num_samples": (64, int, ">= 0"), "num_features": (2048, int, ">= 1")}
@@ -368,7 +367,7 @@ def main(argv=None):
         return handlers[args.command](args)
     except DivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
+        return EXIT_FAILED
     except (SapgpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -4,11 +4,13 @@ All solvers consume an oracle (``kernels.KernelOracle`` or a dense test
 oracle), touch the kernel matrix only through block products, and append to a
 ConvergenceTrace. Budgets are expressed in passes over the kernel matrix;
 one block iteration costs blocksize/n of a pass, one full matvec costs one.
-The block solvers (sap, adasap, adasap_i, sdd) share one loop, ``_drive``,
-which prepares each step's block one step ahead on the worker pool. They
-carry the residual (K + lam I) X - Y of what they report, so a step reads its
-gradient from the residual's block rows and its one kernel pass is the
-update of the residual by the block columns of K + lam I.
+All five solvers (sap, adasap, adasap_i, sdd, pcg) share one loop, ``_drive``,
+which owns the budget, the trace, and the stop and divergence rules, and
+prepares each step's block one step ahead on the worker pool. Each solver
+carries the residual of what it reports: a block step reads its gradient from
+the residual's block rows and its one kernel pass is the update of the
+residual by the block columns of K + lam I; a ``pcg`` step is one full
+product, and its recurrence residual is the carried one.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -261,8 +263,8 @@ def _due(every, t, total):
 
 
 def _drive(oracle, Y2, vector, config, blocksize, total, prepare, step, iterate, residual,
-           on_iterate, pool=None):
-    """The block-iteration loop shared by sap, adasap, adasap_i and sdd.
+           on_iterate, pool=None, start_passes=0.0):
+    """The iteration loop shared by sap, adasap, adasap_i, sdd and pcg.
 
     ``prepare(t)`` returns what iteration t's block alone decides (never
     using the iterate or the pool); calls run one at a time, in order.
@@ -272,7 +274,8 @@ def _drive(oracle, Y2, vector, config, blocksize, total, prepare, step, iterate,
     holds the residual; only tail averaging reads it (None without it). On a
     pool of more than one worker, ``prepare(t+1)`` runs on the pool while
     step t runs; a stop discards it, and its exception is raised where step
-    t+1 would run.
+    t+1 would run. An iteration costs blocksize/n of a pass, on top of the
+    ``start_passes`` spent before the first (pcg's Nystrom sketch).
 
     Rows at the ``residual_every`` cadence, and the last row, record the
     carried relative residual of the reported iterate: the running tail
@@ -323,7 +326,8 @@ def _drive(oracle, Y2, vector, config, blocksize, total, prepare, step, iterate,
                     true_checks += 1
                     max_gap = max(max_gap, abs(relres - true))
                     relres = true
-            trace.record(iters_done, iters_done * blocksize / n, relres, stepsize)
+            trace.record(iters_done, start_passes + iters_done * blocksize / n, relres,
+                         stepsize)
             if relres > DIVERGENCE_FACTOR:
                 diverged = True
                 break
@@ -333,7 +337,7 @@ def _drive(oracle, Y2, vector, config, blocksize, total, prepare, step, iterate,
         if pending is not None and not pending.cancel():
             pending.exception()  # wait for the unused look-ahead and drop its outcome
     W_out = averager.average() if averaging() else iterate
-    passes = iters_done * blocksize / n
+    passes = start_passes + iters_done * blocksize / n
     return SolveResult(W_out[:, 0] if vector else W_out, trace, diverged, iters_done, passes,
                        true_checks, max_gap)
 
@@ -419,22 +423,29 @@ def _test_matrix(seed, dim, rank):
     return np.linalg.qr(substream(seed, "omega").standard_normal((dim, rank)))[0]
 
 
+def _damped_nystrom(product, omega, lam, dim):
+    """The preconditioner (factor, rho) of a PSD matrix M of size ``dim``,
+    given ``product(omega) = M @ omega``: the Nystrom factor of that sketch,
+    damped by rho = S_r + lam. ``omega`` None is the identity preconditioner:
+    the rank-0 factor and rho = 1, with no product."""
+    if omega is None:
+        return NystromFactor.empty(dim), 1.0
+    factor = rand_nystrom_retry(product(omega), omega, omega.shape[1])
+    return factor, float(factor.S[-1]) + lam
+
+
 def adasap_prepare(oracle, config, t, blocksize, omega, kbb):
     """What iteration t's block alone decides: (block, factor, rho, stepsize).
 
     Phases: uniform block; K[B,B] into the b x b buffer ``kbb``; sketch
-    K[B,B] @ omega with the solve's orthonormal test matrix; Nystrom factor
-    with damping S_r + lam; powering. ``omega`` None is the identity
-    preconditioner (ADASAP-I): no sketch, rho = 1.
+    K[B,B] @ omega with the solve's orthonormal test matrix; its damped
+    Nystrom factor (``_damped_nystrom``); powering. ``omega`` None is the
+    identity preconditioner (ADASAP-I): no sketch, rho = 1.
     """
     n, lam = oracle.n, oracle.lam
     block = _uniform_block(config.seed, t, n, blocksize)
     Kbb = oracle.block(block, kbb)
-    if omega is None:
-        factor, rho = NystromFactor.empty(blocksize), 1.0
-    else:
-        factor = rand_nystrom_retry(Kbb @ omega, omega, omega.shape[1])
-        rho = float(factor.S[-1]) + lam
+    factor, rho = _damped_nystrom(lambda M: Kbb @ M, omega, lam, blocksize)
     eta = rand_power_stepsize(lambda v: Kbb @ v + lam * v, factor, rho, iters=10,
                               seed=substream(config.seed, "power", t))
     return block, factor, rho, eta
@@ -561,49 +572,36 @@ def sdd_solve(oracle, Y, config, pool=None, on_iterate=None):
 
 def pcg_solve(oracle, Y, config, pool=None, on_iterate=None):
     """Conjugate gradient on (K + lam I) W = Y with a global rank-r Nystrom
-    preconditioner; standard recurrences run per right-hand side.
+    preconditioner, on the shared loop; standard recurrences run per
+    right-hand side, and ``nystrom_rank`` 0 gives plain CG.
 
-    ``nystrom_rank`` 0 gives plain CG. Stops when every column reaches the
-    tolerance (default 1e-6) or the iteration budget runs out: ``max_iters``,
-    else ``ceil(max_passes)`` iterations.
-    Passes count one per iteration plus one for the Nystrom sketch K @ Omega.
-    The matvecs and the sketch run on ``pool``.
+    The recurrence residual R = Y - (K + lam I) X is the carried residual (of
+    opposite sign), so the loop's stop rules apply, with the tolerance 1e-6
+    when ``tol`` is null. A column whose own relative residual is at or below
+    the tolerance is frozen (its alpha and beta are 0). The budget is
+    ``max_iters``, else ``ceil(max_passes)`` iterations. An iteration is one
+    full product, so one pass; the sketch K @ Omega adds one pass before the
+    first. The matvecs, the sketch and the true checks run on ``pool``.
     """
     config.reject_ignored("pcg")
-    n = oracle.n
-    lam = oracle.lam
+    n, lam = oracle.n, oracle.lam
     Y2, vector = _as_columns(Y, n)
-    rank = config.nystrom_rank if config.nystrom_rank is not None else min(100, n)
-    rank = int(rank)
+    rank = int(config.nystrom_rank if config.nystrom_rank is not None else min(100, n))
     if rank < 0 or rank > n:
         raise ConfigError("pcg rank outside [0, n]")
-    sketch_passes = 0.0
-    if rank > 0:
-        omega = _test_matrix(config.seed, n, rank)
-        sketch = oracle.matmul(omega, pool)
-        sketch_passes = 1.0
-        factor = rand_nystrom_retry(sketch, omega, rank)
-        rho = float(factor.S[-1]) + lam
-    else:
-        factor = NystromFactor.empty(n)
-        rho = 1.0
-
-    tol = config.tol if config.tol is not None else 1e-6
-    total = budget_iterations(config, 1.0)
-
+    omega = _test_matrix(config.seed, n, rank) if rank > 0 else None
+    factor, rho = _damped_nystrom(lambda M: oracle.matmul(M, pool), omega, lam, n)
+    if config.tol is None:
+        config = replace(config, tol=1e-6)
+    col_norms = np.maximum(np.linalg.norm(Y2, axis=0), np.finfo(np.float64).tiny)
     X = np.zeros_like(Y2)
     R = Y2.copy()
-    Zp = apply_inv(factor, rho, R)
-    P = Zp.copy()
-    rz = np.einsum("ij,ij->j", R, Zp)
-    col_norms = np.maximum(np.linalg.norm(Y2, axis=0), np.finfo(np.float64).tiny)
-    ynorm = _norm_floor(Y2)
-    trace = ConvergenceTrace()
-    iters_done = 0
-    for t in range(total):
-        active = np.linalg.norm(R, axis=0) / col_norms > tol
-        if not np.any(active):
-            break
+    P = apply_inv(factor, rho, R)
+    rz = np.einsum("ij,ij->j", R, P)
+
+    def step(_):
+        nonlocal X, R, P, rz
+        active = np.linalg.norm(R, axis=0) / col_norms > config.tol
         AP = oracle.matmul(P, pool) + lam * P
         pap = np.einsum("ij,ij->j", P, AP)
         if np.any(pap[active] <= 0.0):
@@ -616,14 +614,11 @@ def pcg_solve(oracle, Y, config, pool=None, on_iterate=None):
         beta = np.where(active, rz_new / np.where(rz > 0.0, rz, 1.0), 0.0)
         P = Zp + beta * P
         rz = rz_new
-        iters_done = t + 1
-        if on_iterate is not None:
-            on_iterate(iters_done, X)
-        relres = float(np.linalg.norm(R) / ynorm)
-        trace.record(iters_done, sketch_passes + iters_done, relres, math.nan)
-    return SolveResult(
-        X[:, 0] if vector else X, trace, False, iters_done, sketch_passes + iters_done
-    )
+        return math.nan, _sumsq(R)
+
+    return _drive(oracle, Y2, vector, config, n, budget_iterations(config, 1.0),
+                  lambda t: None, step, X, None, on_iterate, pool=pool,
+                  start_passes=0.0 if omega is None else 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -388,11 +388,20 @@ def test_lam_near_eps_on_identical_points(solver_id, lam):
     # K[B,B] is the all-ones matrix: a block solve sees lam alone on its null space
     oracle = KernelOracle(KernelSpec("rbf", [1.0]), np.zeros((3, 2)), lam)
     cfg = RunConfig(lam=lam, solver_id=solver_id, blocksize=3, max_iters=20, seed=1)
+    y = np.array([1.0, -2.0, 0.5])
     try:
-        result = solve(oracle, np.array([1.0, -2.0, 0.5]), cfg)
+        result = solve(oracle, y, cfg)
     except NumericalError:
         return
     assert result.diverged or np.isfinite(result.W).all()
+    if solver_id == "pcg":
+        # the recurrence residual falls to rounding while the true one stalls:
+        # every stop the carried value claims is confirmed, so the last row is true
+        assert result.trace.records[-1].residual == relative_residual(oracle, result.W, y)
+        # a NaN from the second CG product (call 1 is the sketch) ends the run as diverged
+        planted = solve(CountingOracle(oracle, nan_at=3), y, cfg)
+        assert planted.diverged and planted.iterations < 20
+        assert planted.trace.records[-1].residual == np.inf
 
 
 def test_adasap_default_mu_is_the_systems_lam():
@@ -715,27 +724,35 @@ def test_carried_rows_match_true_residuals(solver_id, tail_average, n, blocksize
 
 
 class CountingOracle:
-    """A kernel oracle that counts its full products ``matmul``."""
+    """A kernel oracle that counts its full products ``matmul``; call number
+    ``nan_at`` (1-based) returns NaN."""
 
-    def __init__(self, inner):
+    def __init__(self, inner, nan_at=None):
         self.inner, self.n, self.lam = inner, inner.n, inner.lam
         self.tile, self.block = inner.tile, inner.block
-        self.matmuls = 0
+        self.matmuls, self.nan_at = 0, nan_at
 
     def matmul(self, M, pool=None):
         self.matmuls += 1
-        return self.inner.matmul(M, pool)
+        product = self.inner.matmul(M, pool)
+        if self.matmuls == self.nan_at:
+            product[:] = np.nan
+        return product
 
 
-def test_tol_stopped_adasap_makes_one_true_check():
+@pytest.mark.parametrize("solver_id", ["adasap", "pcg"])
+def test_tol_stop_makes_one_true_check(solver_id):
     inner, rng = rbf_oracle(600, 1e-2, seed=8)
     oracle = CountingOracle(inner)
     y = rng.standard_normal(600)
-    config = RunConfig(lam=1e-2, solver_id="adasap", blocksize=60, nystrom_rank=30,
+    config = RunConfig(lam=1e-2, solver_id=solver_id, blocksize=60, nystrom_rank=30,
                        tol=0.05, max_passes=40, residual_every=10, seed=3)
     result = solve(oracle, y, config)
     assert not result.diverged and result.passes < 40  # stopped by tol
-    assert oracle.matmuls == result.true_checks == 1
+    assert result.true_checks == 1
+    # pcg's sketch and CG products are full products too, one per pass
+    solver_products = result.passes if solver_id == "pcg" else 0
+    assert oracle.matmuls == solver_products + result.true_checks
     # the stopping row is the true residual of the returned iterate
     assert result.trace.final_residual() == relative_residual(inner, result.W, y)
     assert result.trace.final_residual() <= 0.05
@@ -764,7 +781,7 @@ def test_failed_confirm_records_the_true_value_and_goes_on(claimed, row):
 # look-ahead block preparation
 
 
-@pytest.mark.parametrize("solver_id", ["sap", "adasap", "adasap_i", "sdd"])
+@pytest.mark.parametrize("solver_id", ["sap", "adasap", "adasap_i", "sdd", "pcg"])
 def test_look_ahead_bitwise_for_every_pool(solver_id):
     # distinct blocks, sketches and power starts at every step
     oracle, rng = rbf_oracle(600, 1e-2, seed=3)
