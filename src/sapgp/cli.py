@@ -102,12 +102,9 @@ PROBLEM_KEYS = {
 
 def _run_config(tree):
     """The ``run`` section of a ``solve`` or ``infer`` command, refused where a
-    solver would ignore a setting or needs what no config can give."""
+    solver would ignore a setting."""
     run_config = RunConfig.from_dict(tree.get("run", {}))
     run_config.reject_ignored()
-    if run_config.sampler == "kdpp":
-        raise ConfigError('run.sampler = "kdpp" is available only through the Python API, '
-                          "which takes the DppModel as solve(..., dpp_model=...)")
     return run_config
 
 

@@ -13,7 +13,6 @@ from .errors import ConfigError
 from .kernels import FAMILIES, KernelSpec
 
 SOLVERS = ("sap", "adasap", "adasap_i", "sdd", "pcg")
-SAMPLERS = ("uniform", "kdpp")
 
 
 def _number(name, value, integral, lower=None):
@@ -70,15 +69,10 @@ _RUN_FIELDS = {
     "lam": (float, "> 0"), "blocksize": ((None, int), ">= 1"),
     "nystrom_rank": ((None, int), ">= 0"), "max_passes": ((None, float), "> 0"),
     "max_iters": ((None, int), ">= 1"), "solver_id": (SOLVERS, None),
-    "sampler": (SAMPLERS, None), "tail_average": (bool, None), "seed": (int, ">= 0"),
+    "tail_average": (bool, None), "seed": (int, ">= 0"),
     "num_workers": (int, ">= 1"), "mu": (("default", float), "> 0"),
     "nu": (("default", float), "> 0"), "stepsize_scale": (float, ">= 0"),
     "tol": ((None, float), ">= 0"), "residual_every": (int, ">= 0"),
-}
-# settings only some solvers read: {field: (the value that leaves it off, its readers)}
-_SOLVER_ONLY = {
-    "sampler": ("uniform", ("sap",)),
-    "tail_average": (False, ("sap", "adasap", "adasap_i")),
 }
 
 
@@ -92,7 +86,6 @@ class RunConfig:
     max_passes: float | None = 50.0
     max_iters: int | None = None
     solver_id: str = "adasap"
-    sampler: str = "uniform"
     tail_average: bool = False
     seed: int = 0
     num_workers: int = 1
@@ -111,15 +104,12 @@ class RunConfig:
             raise ConfigError("need max_passes or max_iters")
 
     def reject_ignored(self, solver=None):
-        """ConfigError naming the first setting that ``solver`` (by default
-        ``solver_id``) would ignore."""
+        """ConfigError if ``solver`` (by default ``solver_id``) would ignore a
+        set ``tail_average``."""
         solver = self.solver_id if solver is None else solver
-        for name, (off, readers) in _SOLVER_ONLY.items():
-            value = getattr(self, name)
-            if value != off and solver not in readers:
-                raise ConfigError(
-                    f"run.{name} = {json.dumps(value)} is ignored by solver "
-                    f"{solver!r}; only {', '.join(readers)} read it")
+        if self.tail_average and solver in ("sdd", "pcg"):
+            raise ConfigError(f"run.tail_average = true is ignored by solver {solver!r}; "
+                              "only sap, adasap, adasap_i read it")
 
     def validate_for(self, n):
         """Size-dependent checks once the problem size is known."""

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import SAMPLERS, resolve_blocksize, resolve_rank
+from .config import resolve_blocksize, resolve_rank
 from .dist import WorkerPool, col_dist_update
 # re-exported; the benchmark tracer wraps them here
 from .dist import col_dist_matmul, row_dist_matmul  # noqa: F401
@@ -373,17 +373,12 @@ def sap_step(oracle, W, r, block, H, pool=None):
 def sap_solve(oracle, Y, config, dpp_model=None, pool=None, on_iterate=None):
     """Exact sketch-and-project from W0 = 0 with optional tail averaging.
 
-    ``config.sampler`` is "uniform" (without replacement) or "kdpp" (requires
-    an exact ``dpp_model`` whose sample size plays the role of the blocksize).
+    Blocks are uniform (without replacement), or k-DPP samples of an exact
+    ``dpp_model``, whose sample size plays the role of the blocksize.
     """
     n = oracle.n
     Y2, vector = _as_columns(Y, n)
-    sampler = config.sampler
-    if sampler not in SAMPLERS:
-        raise ConfigError(f"unknown sampler {sampler!r}")
-    if sampler == "kdpp":
-        if dpp_model is None:
-            raise ConfigError('run.sampler = "kdpp" needs a dpp_model')
+    if dpp_model is not None:
         blocksize = dpp_model.sample_size
         if config.blocksize is not None and config.blocksize != blocksize:
             raise ConfigError("config blocksize disagrees with the DPP sample size")
@@ -395,7 +390,7 @@ def sap_solve(oracle, Y, config, dpp_model=None, pool=None, on_iterate=None):
     drawn = []
 
     def prepare(t):
-        if sampler == "uniform":
+        if dpp_model is None:
             block = _uniform_block(config.seed, t, n, blocksize)
         else:
             # blocks never depend on the iterate: draw a chunk of them at once
@@ -586,9 +581,7 @@ def pcg_solve(oracle, Y, config, pool=None, on_iterate=None):
     config.reject_ignored("pcg")
     n, lam = oracle.n, oracle.lam
     Y2, vector = _as_columns(Y, n)
-    rank = int(config.nystrom_rank if config.nystrom_rank is not None else min(100, n))
-    if rank < 0 or rank > n:
-        raise ConfigError("pcg rank outside [0, n]")
+    rank = 0 if config.nystrom_rank == 0 else resolve_rank(config, n)
     omega = _test_matrix(config.seed, n, rank) if rank > 0 else None
     factor, rho = _damped_nystrom(lambda M: oracle.matmul(M, pool), omega, lam, n)
     if config.tol is None:
@@ -606,7 +599,7 @@ def pcg_solve(oracle, Y, config, pool=None, on_iterate=None):
         pap = np.einsum("ij,ij->j", P, AP)
         if np.any(pap[active] <= 0.0):
             raise NumericalError("conjugate gradient breakdown: p^T A p <= 0")
-        alpha = np.where(active, rz / np.where(pap > 0.0, pap, 1.0), 0.0)
+        alpha = np.where(active, rz / np.where(active, pap, 1.0), 0.0)
         X += alpha * P
         R -= alpha * AP
         Zp = apply_inv(factor, rho, R)
@@ -625,7 +618,7 @@ def pcg_solve(oracle, Y, config, pool=None, on_iterate=None):
 # dispatch
 
 
-def solve(oracle, Y, config, dpp_model=None, pool=None, on_iterate=None):
+def solve(oracle, Y, config, pool=None, on_iterate=None):
     """Run the solver selected by ``config.solver_id``; a setting that solver
     would ignore is a ConfigError."""
     own_pool = None
@@ -633,8 +626,7 @@ def solve(oracle, Y, config, dpp_model=None, pool=None, on_iterate=None):
         own_pool = pool = WorkerPool(config.num_workers)
     try:
         if config.solver_id == "sap":
-            return sap_solve(oracle, Y, config, dpp_model=dpp_model, pool=pool,
-                             on_iterate=on_iterate)
+            return sap_solve(oracle, Y, config, pool=pool, on_iterate=on_iterate)
         if config.solver_id == "adasap":
             return adasap_solve(oracle, Y, config, pool=pool, on_iterate=on_iterate)
         if config.solver_id == "adasap_i":

@@ -190,8 +190,9 @@ def log_grid(total):
     return points
 
 
-def _trial_iterates(problem, model, grid, trial_seed, tail, sampler="kdpp", blocksize=None):
-    """One zero-initialized exact solver run to the last grid point. Returns,
+def _trial_iterates(problem, model, grid, trial_seed, tail, blocksize=None):
+    """One zero-initialized exact solver run to the last grid point, on k-DPP
+    blocks of ``model`` (uniform blocks when it is None). Returns,
     per grid point t, the tail average of w_{t/2}, ..., w_{t-1} (``tail``,
     from prefix sums S_j = w_1 + ... + w_j) or the iterate w_t."""
     cumsum = np.zeros(problem.n)
@@ -208,8 +209,7 @@ def _trial_iterates(problem, model, grid, trial_seed, tail, sampler="kdpp", bloc
     config = RunConfig(
         lam=problem.lam,
         solver_id="sap",
-        sampler=sampler,
-        blocksize=blocksize if sampler == "uniform" else None,
+        blocksize=blocksize,
         max_iters=grid[-1],
         residual_every=0,
         seed=trial_seed,
@@ -220,7 +220,7 @@ def _trial_iterates(problem, model, grid, trial_seed, tail, sampler="kdpp", bloc
     return [snapshots[t] for t in grid]
 
 
-def _trial_errors(problems, model, grid, seed, tail, error, **run):
+def _trial_errors(problems, model, grid, seed, tail, error, blocksize=None):
     """errors[trial, grid point] = error(problem, iterate), one solver run per
     entry of ``problems`` on the substream ("trial", index) of ``seed``."""
     if not grid or len(problems) < 2:
@@ -228,7 +228,7 @@ def _trial_errors(problems, model, grid, seed, tail, error, **run):
     errors = np.empty((len(problems), len(grid)))
     for trial, problem in enumerate(problems):
         trial_seed = int(substream(seed, "trial", trial).integers(2**63))
-        iterates = _trial_iterates(problem, model, grid, trial_seed, tail, **run)
+        iterates = _trial_iterates(problem, model, grid, trial_seed, tail, blocksize)
         errors[trial] = [error(problem, w) for w in iterates]
     return errors
 
@@ -375,7 +375,7 @@ def verify_theorem1(problem, half_blocksize, num_top, trials, iters, seed, proje
     errors = _trial_errors(
         [problem] * trials, model, grid, seed, True,
         lambda p, w: subspace_error(p.basis, w, p.w_star, num_top).regularized,
-        sampler=sampler, blocksize=2 * half_blocksize,
+        blocksize=2 * half_blocksize,
     )
     bounds, branches = zip(*(
         theorem_bound(problem.system_eigvals, half_blocksize, num_top, t, problem.sol_norm_sq)

@@ -300,20 +300,10 @@ def test_bad_run_value_is_one_error_line(tmp_path, capsys, override):
 
 @pytest.mark.parametrize("command", ["solve", "infer"])
 @pytest.mark.parametrize("overrides,message", [
-    (["run.solver_id=adasap", "run.sampler=kdpp"],
-     'error: run.sampler = "kdpp" is ignored by solver \'adasap\''),
-    (["run.solver_id=adasap_i", "run.sampler=kdpp"],
-     'error: run.sampler = "kdpp" is ignored by solver \'adasap_i\''),
-    (["run.solver_id=sdd", "run.sampler=kdpp"],
-     'error: run.sampler = "kdpp" is ignored by solver \'sdd\''),
-    (["run.solver_id=pcg", "run.sampler=kdpp"],
-     'error: run.sampler = "kdpp" is ignored by solver \'pcg\''),
     (["run.solver_id=sdd", "run.tail_average=true"],
      "error: run.tail_average = true is ignored by solver 'sdd'"),
     (["run.solver_id=pcg", "run.tail_average=true"],
      "error: run.tail_average = true is ignored by solver 'pcg'"),
-    (["run.solver_id=sap", "run.sampler=kdpp"],
-     'error: run.sampler = "kdpp" is available only through the Python API'),
 ])
 def test_setting_the_solver_cannot_use_is_one_error_line(tmp_path, capsys, command, overrides,
                                                         message):
@@ -441,6 +431,8 @@ CSV = ["problem.type=csv", "problem.test_fraction=0.25"]  # problem.path is adde
     ("solve", ["problem.n=50", "verify.bogus=1"], "unknown config keys: verify.bogus"),
     ("verify nystrom", ["problem.bogus=1"], "unknown config keys: problem.bogus"),
     ("verify nystrom", ["kernel.variance=abc"], "kernel.variance must be a number"),
+    # the k-DPP sampler is chosen by passing a DppModel to sap_solve, not by a key
+    ("solve", ["run.sampler=uniform"], "unknown config keys: run.sampler"),
 ])
 def test_every_section_rejects_bad_input(tmp_path, capsys, command, overrides, message):
     if "problem.type=csv" in overrides:

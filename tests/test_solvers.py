@@ -199,14 +199,6 @@ def test_sap_step_annihilates_block_residual():
     assert np.abs(residual[block]).max() <= 1e-8 * np.linalg.norm(Y)
 
 
-def test_sap_unknown_sampler_is_a_config_error():
-    oracle, rng = rbf_oracle(10, 0.5)
-    cfg = RunConfig(lam=0.5, solver_id="sap", max_iters=2)
-    cfg.sampler = "nope"
-    with pytest.raises(ConfigError, match="unknown sampler"):
-        sap_solve(oracle, rng.standard_normal(10), cfg)
-
-
 def test_sap_zero_rhs_stays_zero():
     oracle, _ = rbf_oracle(20, 0.5)
     cfg = RunConfig(lam=0.5, solver_id="sap", blocksize=5, max_iters=30, residual_every=10)
@@ -289,8 +281,7 @@ def _kdpp_reference(problem, model, seed, iters, tol=None):
 def test_sap_kdpp_matches_one_block_at_a_time(iters):
     problem = SyntheticSpectrumProblem.poly(64, 2.0, 1e-3, seed=3)
     model = problem.dpp_model(8)
-    cfg = RunConfig(lam=1e-3, solver_id="sap", sampler="kdpp", max_iters=iters,
-                    residual_every=1, seed=7)
+    cfg = RunConfig(lam=1e-3, solver_id="sap", max_iters=iters, residual_every=1, seed=7)
     res = sap_solve(problem.oracle, problem.y, cfg, dpp_model=model)
     W_ref, residuals = _kdpp_reference(problem, model, 7, iters)
     assert res.iterations == iters
@@ -306,13 +297,21 @@ def test_sap_kdpp_tol_stop_mid_chunk_matches_one_block_at_a_time():
     # at a position inside the second chunk
     stop = next(t for t in range(17, 60) if full[t] < full[:t].min() and (t + 1) % 16)
     tol = float(full[stop])
-    cfg = RunConfig(lam=1e-3, solver_id="sap", sampler="kdpp", max_iters=60,
-                    residual_every=1, seed=7, tol=tol)
+    cfg = RunConfig(lam=1e-3, solver_id="sap", max_iters=60, residual_every=1, seed=7,
+                    tol=tol)
     res = sap_solve(problem.oracle, problem.y, cfg, dpp_model=model)
     W_ref, residuals = _kdpp_reference(problem, model, 7, 60, tol=tol)
     assert res.iterations == stop + 1 == residuals.size
     assert np.array_equal(res.W, W_ref)
     assert np.array_equal(res.trace.residuals(), residuals)
+
+
+def test_sap_blocksize_must_match_the_dpp_sample_size():
+    oracle, rng = rbf_oracle(10, 0.5)
+    model = DppModel(np.ones(10), np.eye(10), 4)
+    cfg = RunConfig(lam=0.5, solver_id="sap", blocksize=5, max_iters=2)
+    with pytest.raises(ConfigError, match="disagrees with the DPP sample size"):
+        sap_solve(oracle, rng.standard_normal(10), cfg, dpp_model=model)
 
 
 @pytest.mark.parametrize("solver_id", ["sap", "adasap"])
@@ -398,9 +397,12 @@ def test_lam_near_eps_on_identical_points(solver_id, lam):
         # the recurrence residual falls to rounding while the true one stalls:
         # every stop the carried value claims is confirmed, so the last row is true
         assert result.trace.records[-1].residual == relative_residual(oracle, result.W, y)
-        # a NaN from the second CG product (call 1 is the sketch) ends the run as diverged
-        planted = solve(CountingOracle(oracle, nan_at=3), y, cfg)
-        assert planted.diverged and planted.iterations < 20
+        # a NaN from the second CG product (call 1 is the sketch) makes that
+        # step's X NaN, which ends the run as diverged with no further product
+        counting = CountingOracle(oracle, nan_at=3)
+        planted = solve(counting, y, cfg)
+        assert planted.diverged and planted.iterations == 2
+        assert planted.true_checks == 0 and counting.matmuls == 3
         assert planted.trace.records[-1].residual == np.inf
 
 
@@ -468,17 +470,6 @@ def test_solver_dispatch_unknown():
         solve(oracle, rng.standard_normal(10), cfg)
 
 
-@pytest.mark.parametrize("solver_id", ["adasap", "adasap_i", "sdd", "pcg"])
-def test_solve_rejects_kdpp_sampler_the_solver_ignores(solver_id):
-    oracle, rng = rbf_oracle(10, 0.5)
-    cfg = RunConfig(lam=0.5, solver_id=solver_id, sampler="kdpp", blocksize=4,
-                    nystrom_rank=2, max_iters=2)
-    model = DppModel(np.ones(10), np.eye(10), 4)
-    message = rf'^run\.sampler = "kdpp" is ignored by solver \'{solver_id}\''
-    with pytest.raises(ConfigError, match=message):
-        solve(oracle, rng.standard_normal(10), cfg, dpp_model=model)
-
-
 @pytest.mark.parametrize("solver_id", ["sdd", "pcg"])
 def test_solve_rejects_tail_average_the_solver_ignores(solver_id):
     oracle, rng = rbf_oracle(10, 0.5)
@@ -491,7 +482,6 @@ def test_solve_rejects_tail_average_the_solver_ignores(solver_id):
 @pytest.mark.parametrize("entry, setting, message", [
     (sdd_solve, dict(solver_id="sdd", tail_average=True), r"^run\.tail_average = true"),
     (pcg_solve, dict(solver_id="pcg", tail_average=True), r"^run\.tail_average = true"),
-    (adasap_solve, dict(solver_id="adasap", sampler="kdpp"), r'^run\.sampler = "kdpp"'),
 ])
 def test_entry_points_reject_settings_they_ignore(entry, setting, message):
     oracle, rng = rbf_oracle(10, 0.5)
@@ -506,13 +496,6 @@ def test_entry_point_check_follows_the_function_not_solver_id():
     cfg = RunConfig(lam=0.5, solver_id="sdd", blocksize=4, max_iters=2, tail_average=True)
     result = adasap_solve(oracle, rng.standard_normal(10), cfg, identity_precond=True)
     assert result.iterations == 2
-
-
-def test_sap_kdpp_without_model_names_the_setting():
-    oracle, rng = rbf_oracle(10, 0.5)
-    cfg = RunConfig(lam=0.5, solver_id="sap", sampler="kdpp", max_iters=2)
-    with pytest.raises(ConfigError, match=r'^run\.sampler = "kdpp" needs a dpp_model'):
-        solve(oracle, rng.standard_normal(10), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +587,13 @@ def test_pcg_matches_dense_solve():
     res = pcg_solve(oracle, y, cfg)
     ref = np.linalg.solve(system_matrix(oracle), y)
     assert np.linalg.norm(res.W - ref) / np.linalg.norm(ref) <= 1e-6
+
+
+def test_pcg_rank_above_n_names_the_setting():
+    oracle, rng = rbf_oracle(10, 0.5)
+    cfg = RunConfig(lam=0.5, solver_id="pcg", nystrom_rank=11, max_iters=2)
+    with pytest.raises(ConfigError, match="nystrom_rank"):
+        pcg_solve(oracle, rng.standard_normal(10), cfg)
 
 
 @pytest.mark.parametrize("rank, sketch_passes", [(0, 0.0), (20, 1.0)])
