@@ -130,10 +130,12 @@ def resolve_blocksize(config, n):
     return b
 
 
-def resolve_rank(config, blocksize):
+def resolve_rank(config, blocksize, lowest=1):
+    """The Nystrom rank, by default min(100, blocksize); a set rank outside
+    [``lowest``, blocksize] is a ConfigError naming that range."""
     r = config.nystrom_rank if config.nystrom_rank is not None else min(100, blocksize)
-    if not 1 <= r <= blocksize:
-        raise ConfigError(f"nystrom_rank {r} outside [1, {blocksize}]")
+    if not lowest <= r <= blocksize:
+        raise ConfigError(f"nystrom_rank {r} outside [{lowest}, {blocksize}]")
     return r
 
 

@@ -17,6 +17,7 @@ from .errors import ContractError, ValidationError
 
 FAMILIES = ("rbf", "matern32", "matern52")
 DENSE_LIMIT = 4096
+SYMMETRIZE_WIDTH = 128  # square blocks of the in-place symmetrization in ``block``
 
 _SQRT3 = math.sqrt(3.0)
 _SQRT5 = math.sqrt(5.0)
@@ -139,6 +140,25 @@ def cross_kernel(spec, Xa, Xb):
     return _values(spec, _augment(spec, Xa)[0], _augment(spec, Xb)[1])
 
 
+def _symmetrize(tile):
+    """``(tile + tile^T) * 0.5`` in place, bit for bit, in square blocks of
+    SYMMETRIZE_WIDTH: the mirror of each upper block is read while it is in
+    cache, and only a diagonal block, whose transpose overlaps it, is copied."""
+    size = tile.shape[0]
+    for start in range(0, size, SYMMETRIZE_WIDTH):
+        rows = slice(start, start + SYMMETRIZE_WIDTH)
+        diag = tile[rows, rows]
+        np.add(diag, diag.T, out=diag)  # ufuncs read an overlapping input as a copy
+        diag *= 0.5
+        for cstart in range(start + SYMMETRIZE_WIDTH, size, SYMMETRIZE_WIDTH):
+            cols = slice(cstart, cstart + SYMMETRIZE_WIDTH)
+            upper = tile[rows, cols]
+            upper += tile[cols, rows].T
+            upper *= 0.5
+            tile[cols, rows] = upper.T
+    return tile
+
+
 class KernelOracle:
     """Lazy evaluator for tiles of K = k(X, X); shares X read-only.
 
@@ -187,10 +207,7 @@ class KernelOracle:
         given: symmetric to the last bit, its diagonal exactly the kernel
         variance; one GEMM if sorted."""
         block = dist.check_indices(block, self.n)
-        tile = self.tile(block, block, out)
-        np.add(tile, tile.T, out=tile)  # ufuncs read an overlapping input as a copy
-        tile *= 0.5
-        return tile
+        return _symmetrize(self.tile(block, block, out))
 
     def dense(self):
         """Full K for test oracles; refuses above DENSE_LIMIT."""

@@ -346,20 +346,38 @@ def _drive(oracle, Y2, vector, config, blocksize, total, prepare, step, iterate,
 # exact sketch-and-project
 
 
-def sap_step(oracle, W, r, block, H, pool=None):
+def sap_step(oracle, W, r, block, H, pool=None, block_rows=None):
     """One exact projection step: zeroes the block rows of the residual.
 
     ``r`` is the carried residual (K + lam I) W - Y. Solves H d = r[B] by LU,
     where H is K[B,B] + lam I, then in place subtracts d from the block rows
     of W and (K + lam I)[:, B] d from r, in one column pass on ``pool``.
     Returns ||r||^2 after the step.
+
+    A 2-d ``block`` (m, b) gives column j of W its own block B_j, with H the
+    stack (m, b, b) of the H_j and ``block_rows`` the stack (m, b, n) of the
+    rows K[B_j, :]: one batched solve, then one batched product with
+    ``block_rows`` in place of the column pass (``pool`` is not used), formed
+    as the column pass forms it: K[:, B_j] d_j, plus lam d_j on the block
+    rows, subtracted from column j of r.
     """
-    try:
-        d = np.linalg.solve(H, r[block])
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            "block system factorization failed; lam may be too small for float64"
-        ) from exc
+    def solve(rhs):
+        try:
+            return np.linalg.solve(H, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                "block system factorization failed; lam may be too small for float64"
+            ) from exc
+
+    if block.ndim == 2:
+        cols = np.arange(W.shape[1])[:, None]
+        d = solve(r[block, cols][:, :, None])[:, :, 0]
+        W[block, cols] -= d
+        AD = (d[:, None, :] @ block_rows)[:, 0]
+        AD[cols, block] += oracle.lam * d
+        r -= AD.T
+        return _sumsq(r)
+    d = solve(r[block])
     W[block] -= d
 
     def update(rows, local, pos, AD):
@@ -370,11 +388,22 @@ def sap_step(oracle, W, r, block, H, pool=None):
     return col_dist_update(oracle, d, block, update, pool)
 
 
-def sap_solve(oracle, Y, config, dpp_model=None, pool=None, on_iterate=None):
+def sap_solve(oracle, Y, config, dpp_model=None, pool=None, on_iterate=None,
+              column_seeds=None):
     """Exact sketch-and-project from W0 = 0 with optional tail averaging.
 
     Blocks are uniform (without replacement), or k-DPP samples of an exact
-    ``dpp_model``, whose sample size plays the role of the blocksize.
+    ``dpp_model``, whose sample size plays the role of the blocksize. They
+    are drawn from the substreams (``config.seed``, "block", t).
+
+    ``column_seeds``, one seed per column of Y, runs the columns in lockstep:
+    column j takes exact projection steps on its own block stream, the one a
+    one-column solve with ``config.seed = column_seeds[j]`` draws, and
+    ``config.seed`` is not read. All columns share the loop, so its rows, its
+    ``tol`` stop and its budget are those of the whole Y. Each preparation
+    gathers the block rows K[B_j, :] of every column once, m * b * n floats
+    for m columns (6.5 MB at m = 100, b = 32, n = 256), and the look-ahead
+    holds two preparations at once.
     """
     n = oracle.n
     Y2, vector = _as_columns(Y, n)
@@ -384,26 +413,45 @@ def sap_solve(oracle, Y, config, dpp_model=None, pool=None, on_iterate=None):
             raise ConfigError("config blocksize disagrees with the DPP sample size")
     else:
         blocksize = resolve_blocksize(config, n)
+    seeds = [config.seed] if column_seeds is None else list(column_seeds)
+    if column_seeds is not None and len(seeds) != Y2.shape[1]:
+        raise ContractError(f"{len(seeds)} column seeds for {Y2.shape[1]} right-hand sides")
     total = budget_iterations(config, blocksize / n)
     W = np.zeros((n, Y2.shape[1]))
     r = -Y2
+    diag = np.arange(blocksize)
     drawn = []
 
-    def prepare(t):
+    def blocks_at(t):
+        """Step t's block of every seed, (len(seeds), blocksize)."""
         if dpp_model is None:
-            block = _uniform_block(config.seed, t, n, blocksize)
-        else:
-            # blocks never depend on the iterate: draw a chunk of them at once
-            if t % SAMPLE_CHUNK == 0:
-                ahead = range(t, min(t + SAMPLE_CHUNK, total))
-                drawn[:] = dpp_model.sample_batch(substream(config.seed, "block", s) for s in ahead)
-            block = drawn[t % SAMPLE_CHUNK]
-        H = oracle.block(block)
-        H[np.diag_indices_from(H)] += oracle.lam
-        return block, H
+            return np.stack([_uniform_block(seed, t, n, blocksize) for seed in seeds])
+        # blocks never depend on the iterate: draw a chunk of steps at once,
+        # seed after seed, so each internal chunk of the sampler is one seed's
+        # SAMPLE_CHUNK steps
+        if t % SAMPLE_CHUNK == 0:
+            ahead = range(t, min(t + SAMPLE_CHUNK, total))
+            batch = dpp_model.sample_batch(
+                substream(seed, "block", s) for seed in seeds for s in ahead)
+            drawn[:] = batch.reshape(len(seeds), len(ahead), blocksize).transpose(1, 0, 2)
+        return np.ascontiguousarray(drawn[t % SAMPLE_CHUNK])
+
+    def prepare(t):
+        blocks = blocks_at(t)
+        if column_seeds is None:
+            H = oracle.block(blocks[0])
+            H[diag, diag] += oracle.lam
+            return blocks[0], H, None
+        rows = oracle.tile(blocks.ravel(), range(n)).reshape(len(seeds), blocksize, n)
+        H = np.take_along_axis(rows, blocks[:, None, :], axis=2)
+        H += H.transpose(0, 2, 1)  # ufuncs read an overlapping input as a copy
+        H *= 0.5
+        H[:, diag, diag] += oracle.lam
+        return blocks, H, rows
 
     def step(prepared):
-        return 1.0, sap_step(oracle, W, r, *prepared, pool)
+        block, H, rows = prepared
+        return 1.0, sap_step(oracle, W, r, block, H, pool, rows)
 
     return _drive(oracle, Y2, vector, config, blocksize, total, prepare, step, W, r,
                   on_iterate, pool=pool)
@@ -581,7 +629,7 @@ def pcg_solve(oracle, Y, config, pool=None, on_iterate=None):
     config.reject_ignored("pcg")
     n, lam = oracle.n, oracle.lam
     Y2, vector = _as_columns(Y, n)
-    rank = 0 if config.nystrom_rank == 0 else resolve_rank(config, n)
+    rank = resolve_rank(config, n, lowest=0)  # rank 0 is plain CG
     omega = _test_matrix(config.seed, n, rank) if rank > 0 else None
     factor, rho = _damped_nystrom(lambda M: oracle.matmul(M, pool), omega, lam, n)
     if config.tol is None:

@@ -190,31 +190,36 @@ def log_grid(total):
     return points
 
 
-def _trial_iterates(problem, model, grid, trial_seed, tail, blocksize=None):
-    """One zero-initialized exact solver run to the last grid point, on k-DPP
-    blocks of ``model`` (uniform blocks when it is None). Returns,
-    per grid point t, the tail average of w_{t/2}, ..., w_{t-1} (``tail``,
-    from prefix sums S_j = w_1 + ... + w_j) or the iterate w_t."""
-    cumsum = np.zeros(problem.n)
-    snapshots = {0: np.zeros(problem.n)}
+def _trial_iterates(problems, model, grid, trial_seeds, tail, blocksize=None):
+    """Zero-initialized exact solver runs to the last grid point, problem j
+    as column j of one lockstep ``sap_solve`` on the block stream of
+    ``trial_seeds[j]``, with k-DPP blocks of ``model`` (uniform blocks when it
+    is None); the problems share one oracle. Returns, per grid point t, an
+    n x trials array: the tail averages of w_{t/2}, ..., w_{t-1} (``tail``,
+    from prefix sums S_j = w_1 + ... + w_j) or the iterates w_t."""
+    oracle = problems[0].oracle
+    if any(problem.oracle is not oracle for problem in problems):
+        raise ContractError("lockstep trials need problems that share one oracle")
+    Y = np.column_stack([problem.y for problem in problems])
+    cumsum = np.zeros(Y.shape)
+    snapshots = {0: np.zeros(Y.shape)}
     wanted = {t - 1 for t in grid} | {t // 2 - 1 for t in grid} if tail else set(grid)
 
     def on_iterate(idx, W):
-        w = W[:, 0]
         if tail:
-            w = np.add(cumsum, w, out=cumsum)
+            W = np.add(cumsum, W, out=cumsum)
         if idx in wanted:
-            snapshots[idx] = w.copy()
+            snapshots[idx] = W.copy()
 
     config = RunConfig(
-        lam=problem.lam,
+        lam=oracle.lam,
         solver_id="sap",
         blocksize=blocksize,
         max_iters=grid[-1],
         residual_every=0,
-        seed=trial_seed,
     )
-    sap_solve(problem.oracle, problem.y, config, dpp_model=model, on_iterate=on_iterate)
+    sap_solve(oracle, Y, config, dpp_model=model, on_iterate=on_iterate,
+              column_seeds=trial_seeds)
     if tail:
         return [(snapshots[t - 1] - snapshots[t // 2 - 1]) * (2.0 / t) for t in grid]
     return [snapshots[t] for t in grid]
@@ -222,15 +227,15 @@ def _trial_iterates(problem, model, grid, trial_seed, tail, blocksize=None):
 
 def _trial_errors(problems, model, grid, seed, tail, error, blocksize=None):
     """errors[trial, grid point] = error(problem, iterate), one solver run per
-    entry of ``problems`` on the substream ("trial", index) of ``seed``."""
+    entry of ``problems`` on the substream ("trial", index) of ``seed``, all
+    run in lockstep by one ``sap_solve``."""
     if not grid or len(problems) < 2:
         raise ContractError("need at least one grid point (iters >= 2) and trials >= 2")
-    errors = np.empty((len(problems), len(grid)))
-    for trial, problem in enumerate(problems):
-        trial_seed = int(substream(seed, "trial", trial).integers(2**63))
-        iterates = _trial_iterates(problem, model, grid, trial_seed, tail, blocksize)
-        errors[trial] = [error(problem, w) for w in iterates]
-    return errors
+    trial_seeds = [int(substream(seed, "trial", trial).integers(2**63))
+                   for trial in range(len(problems))]
+    iterates = _trial_iterates(problems, model, grid, trial_seeds, tail, blocksize)
+    return np.array([[error(problem, w[:, trial]) for w in iterates]
+                     for trial, problem in enumerate(problems)])
 
 
 def _gridpoints(grid, errors, bounds):

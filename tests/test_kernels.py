@@ -108,6 +108,23 @@ def test_block_block_exact_symmetry_and_diag():
     assert np.all(np.diag(K) == 2.0)
 
 
+@pytest.mark.parametrize("b", [1, 127, 128, 129, 300, 800])
+@pytest.mark.parametrize("order", ["sorted", "unsorted"])
+def test_block_is_the_symmetrized_tile_bit_for_bit(b, order):
+    rng = np.random.default_rng(b)
+    oracle = KernelOracle(rbf_spec(d=3, ls=0.7, var=1.7), rng.standard_normal((900, 3)), 0.1)
+    B = rng.choice(900, size=b, replace=False)
+    if order == "sorted":
+        B = np.sort(B)
+    T = oracle.tile(B, B)
+    want = (T + T.T) * 0.5
+    K = oracle.block(B)
+    assert np.array_equal(K, want)
+    assert np.array_equal(K, K.T) and np.all(np.diag(K) == 1.7)
+    buffer = np.full((b, b), np.nan)
+    assert oracle.block(B, buffer) is buffer and np.array_equal(buffer, want)
+
+
 def test_full_kernel_psd():
     rng = np.random.default_rng(5)
     for family in ("rbf", "matern32", "matern52"):

@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,6 +28,7 @@ from sapgp import (
     sdd_solve,
     solve,
 )
+from sapgp import solvers
 from sapgp.dist import TILE
 from sapgp.randnla import rand_power_stepsize
 from sapgp.rng import substream
@@ -314,6 +316,63 @@ def test_sap_blocksize_must_match_the_dpp_sample_size():
         sap_solve(oracle, rng.standard_normal(10), cfg, dpp_model=model)
 
 
+def sap_with_blocks(monkeypatch, *args, **kwargs):
+    """``sap_solve``'s result and the block of every step, as ``sap_step`` gets it."""
+    seen = []
+    step = solvers.sap_step
+
+    def recording(oracle, W, r, block, *rest):
+        seen.append(block.copy())
+        return step(oracle, W, r, block, *rest)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "sap_step", recording)
+        return sap_solve(*args, **kwargs), np.array(seen)
+
+
+LOCKSTEP_SEEDS = [7, 0, 2**62 + 3]
+
+
+@pytest.mark.parametrize("sampler", ["kdpp", "uniform"])
+def test_lockstep_columns_draw_their_own_blocks_and_match_one_column_solves(
+        monkeypatch, sampler):
+    # 37 steps: two full DPP chunks of 16 and a partial last one
+    problem = SyntheticSpectrumProblem.poly(256, 2.0, 1e-4, seed=0)
+    model = problem.dpp_model(32) if sampler == "kdpp" else None
+    Y = np.random.default_rng(1).standard_normal((256, len(LOCKSTEP_SEEDS)))
+    cfg = RunConfig(lam=1e-4, solver_id="sap", blocksize=32, max_iters=37,
+                    residual_every=1, seed=123)
+    res, blocks = sap_with_blocks(monkeypatch, problem.oracle, Y, cfg, dpp_model=model,
+                                  column_seeds=LOCKSTEP_SEEDS)
+    assert res.iterations == 37 and res.passes == 37 * 32 / 256
+    assert blocks.shape == (37, len(LOCKSTEP_SEEDS), 32)
+    for j, seed in enumerate(LOCKSTEP_SEEDS):
+        one, own = sap_with_blocks(monkeypatch, problem.oracle, Y[:, j],
+                                   replace(cfg, seed=seed), dpp_model=model)
+        assert np.array_equal(blocks[:, j], own)
+        assert np.abs(res.W[:, j] - one.W).max() <= 1e-11 * np.abs(one.W).max()
+
+
+def test_lockstep_needs_one_seed_per_column():
+    problem = SyntheticSpectrumProblem.poly(64, 2.0, 1e-3, seed=3)
+    cfg = RunConfig(lam=1e-3, solver_id="sap", blocksize=8, max_iters=2)
+    with pytest.raises(ContractError, match="2 column seeds for 3 right-hand sides"):
+        sap_solve(problem.oracle, np.ones((64, 3)), cfg, column_seeds=[1, 2])
+
+
+def test_lockstep_look_ahead_is_bitwise():
+    problem = SyntheticSpectrumProblem.poly(256, 2.0, 1e-4, seed=0)
+    model = problem.dpp_model(32)
+    Y = np.random.default_rng(2).standard_normal((256, len(LOCKSTEP_SEEDS)))
+    cfg = RunConfig(lam=1e-4, solver_id="sap", max_iters=37, residual_every=1)
+    serial = sap_solve(problem.oracle, Y, cfg, dpp_model=model, column_seeds=LOCKSTEP_SEEDS)
+    with WorkerPool(2) as pool:
+        pooled = sap_solve(problem.oracle, Y, cfg, dpp_model=model, pool=pool,
+                           column_seeds=LOCKSTEP_SEEDS)
+    assert np.array_equal(pooled.W, serial.W)
+    assert np.array_equal(pooled.trace.residuals(), serial.trace.residuals())
+
+
 @pytest.mark.parametrize("solver_id", ["sap", "adasap"])
 def test_tail_average_trace_reports_returned_iterate(solver_id):
     oracle, rng = rbf_oracle(200, 1e-2)
@@ -592,7 +651,7 @@ def test_pcg_matches_dense_solve():
 def test_pcg_rank_above_n_names_the_setting():
     oracle, rng = rbf_oracle(10, 0.5)
     cfg = RunConfig(lam=0.5, solver_id="pcg", nystrom_rank=11, max_iters=2)
-    with pytest.raises(ConfigError, match="nystrom_rank"):
+    with pytest.raises(ConfigError, match=r"nystrom_rank 11 outside \[0, 10\]"):
         pcg_solve(oracle, rng.standard_normal(10), cfg)
 
 

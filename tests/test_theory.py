@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from sapgp import ContractError, DenseOracle
+from sapgp import ContractError, DenseOracle, RunConfig, sap_solve
 from sapgp.dpp import expected_projection_mc, smoothed_condition
+from sapgp.rng import substream
 from sapgp.theory import (
     SpectralBasis,
     SyntheticSpectrumProblem,
+    _trial_errors,
     log_grid,
     poly_effective_rank_report,
     subspace_error,
@@ -261,6 +263,48 @@ def test_verify_sublinear_iterations_small():
         trials=6, seed=9,
     )
     assert report.details["successes"] >= 5
+
+
+def per_trial_errors(problems, model, grid, seed, tail, error):
+    """``_trial_errors`` as one one-column ``sap_solve`` per trial."""
+    rows = []
+    for trial, problem in enumerate(problems):
+        trial_seed = int(substream(seed, "trial", trial).integers(2**63))
+        iterates = [np.zeros(problem.n)]
+        config = RunConfig(lam=problem.lam, solver_id="sap", max_iters=grid[-1],
+                           residual_every=0, seed=trial_seed)
+        sap_solve(problem.oracle, problem.y, config, dpp_model=model,
+                  on_iterate=lambda idx, W: iterates.append(W[:, 0].copy()))
+        if tail:
+            walls = [sum(iterates[t // 2:t]) / (t - t // 2) for t in grid]
+        else:
+            walls = [iterates[t] for t in grid]
+        rows.append([error(problem, w) for w in walls])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("tail", [True, False])
+def test_trial_errors_match_one_solve_per_trial(tail):
+    # fresh responses on one planted matrix, as the iteration-count check builds them
+    base = small_problem(n=64, lam=1e-3, seed=5, response="gaussian")
+    problems = [base.with_response(int(substream(5, "response", trial).integers(2**63)))
+                for trial in range(3)]
+    model = base.dpp_model(8)
+    grid = log_grid(40)
+
+    def error(p, w):
+        return subspace_error(p.basis, w, p.w_star, 4).rkhs
+
+    lockstep = _trial_errors(problems, model, grid, 6, tail, error)
+    reference = per_trial_errors(problems, model, grid, 6, tail, error)
+    assert lockstep.shape == (3, len(grid))
+    np.testing.assert_allclose(lockstep, reference, rtol=1e-9, atol=0.0)
+
+
+def test_lockstep_trials_need_problems_on_one_oracle():
+    problems = [small_problem(seed=1), small_problem(seed=2)]
+    with pytest.raises(ContractError, match="share one oracle"):
+        _trial_errors(problems, None, log_grid(4), 0, False, lambda p, w: 0.0, blocksize=4)
 
 
 def test_report_serialization(tmp_path):
