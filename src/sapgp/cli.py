@@ -213,13 +213,12 @@ def cmd_infer(args):
         variance = samples.predictive_variance(run_config.lam)
         metrics["rmse"] = rmse(mean_values, test.targets)
         metrics["mean_nll"] = mean_nll(mean_values, variance, test.targets)
-        columns = [mean_values, variance] + [samples.sample_values[:, i] for i in range(num_samples)]
+        columns = [mean_values, variance, samples.sample_values]
         header = "point_id,mean,variance," + ",".join(f"sample_{i}" for i in range(num_samples))
     with open(out_dir / "predictions.csv", "w") as handle:
         handle.write(header + "\n")
-        for i in range(len(mean_values)):
-            row = ",".join(repr(float(col[i])) for col in columns)
-            handle.write(f"{i},{row}\n")
+        for i, values in enumerate(np.column_stack(columns).tolist()):
+            handle.write(f"{i},{','.join(map(repr, values))}\n")
     _write_json(out_dir / "metrics.json", metrics)
     _manifest(out_dir, "infer", tree, run_config, outputs)
     print("infer: " + " ".join(f"{k}={v:.6f}" for k, v in sorted(metrics.items())))

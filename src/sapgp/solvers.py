@@ -277,15 +277,19 @@ def _drive(oracle, Y2, vector, config, blocksize, total, prepare, step, iterate,
     t+1 would run. An iteration costs blocksize/n of a pass, on top of the
     ``start_passes`` spent before the first (pcg's Nystrom sketch).
 
-    Rows at the ``residual_every`` cadence, and the last row, record the
-    carried relative residual of the reported iterate: the running tail
-    average once its window opens (``config.tail_average``), else
-    ``iterate``. They cost no kernel work. A carried value at or below
-    ``tol``, or above DIVERGENCE_FACTOR (or NaN), is confirmed by one true
-    residual, a full product on ``pool``: the row records the true value,
-    and the run stops only if that value confirms the stop. A non-finite
-    iterate after any step stops the run as diverged at once, recorded as an
-    infinite residual.
+    After every step the loop forms the carried relative residual of the
+    reported iterate, at no kernel cost: the running tail average once its
+    window opens (``config.tail_average``), else ``iterate``. A carried value
+    at or below ``tol``, or above DIVERGENCE_FACTOR (or NaN), claims a stop,
+    at any step. A claim is confirmed by one true residual, a full product on
+    ``pool``, and the run stops only if that value confirms the stop. A claim
+    on a step off the ``residual_every`` cadence is confirmed only while no
+    confirm of this run has failed; after one has, only due rows confirm, so
+    a run makes at most one true check more than a cadence-only rule would.
+    Rows at the cadence, and the last row, record the carried value; the row
+    of a confirmed step records the true one, and the other rows NaN. A
+    non-finite iterate after any step stops the run as diverged at once,
+    recorded as an infinite residual.
     """
     n = oracle.n
     averager = TailAverager(total, Y2.shape) if config.tail_average else None
@@ -311,21 +315,26 @@ def _drive(oracle, Y2, vector, config, blocksize, total, prepare, step, iterate,
                 averager.add(iters_done, iterate, residual)
             if on_iterate is not None:
                 on_iterate(iters_done, iterate)
-            relres = math.nan
             if not np.isfinite(iterate).all():
                 relres = math.inf
-            elif _due(config.residual_every, t, total):
+            else:
+                due = _due(config.residual_every, t, total)
                 if averaging():
                     relres = float(np.linalg.norm(averager.residual_average()) / ynorm)
                 else:
                     relres = math.sqrt(sumsq) / ynorm
-                if (config.tol is not None and relres <= config.tol
-                        or not relres <= DIVERGENCE_FACTOR):
+                claim = (config.tol is not None and relres <= config.tol
+                         or not relres <= DIVERGENCE_FACTOR)
+                # the run goes on only past a failed confirm, so an earlier true
+                # check means one has failed: from then on only due rows confirm
+                if claim and (due or true_checks == 0):
                     true = relative_residual(
                         oracle, averager.average() if averaging() else iterate, Y2, pool)
                     true_checks += 1
                     max_gap = max(max_gap, abs(relres - true))
                     relres = true
+                elif not due:
+                    relres = math.nan
             trace.record(iters_done, start_passes + iters_done * blocksize / n, relres,
                          stepsize)
             if relres > DIVERGENCE_FACTOR:

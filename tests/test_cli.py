@@ -63,12 +63,21 @@ def test_solve_tol_stop_reports_its_true_check(tmp_path):
                     "max_passes": 30, "residual_every": 10, "seed": 1},
         },
     )
-    out = tmp_path / "out"
+    out, every_step = tmp_path / "out", tmp_path / "every_step"
     assert run_cli("--config", cfg, "--out", str(out), "solve") == 0
     result = json.loads((out / "result.json").read_text())
     assert result["passes"] < 30 and result["true_checks"] == 1
     assert result["final_true_residual"] == result["final_residual"] <= 1e-2
     assert 0.0 <= result["max_residual_gap"] < 1e-12
+    # tol is tested at every step: the run ends between rows of the cadence, at
+    # the step where a run with a row per step ends, and `passes` is its work
+    assert run_cli("--config", cfg, "--out", str(every_step), "--set", "run.residual_every=1",
+                   "solve") == 0
+    iterations = json.loads((every_step / "result.json").read_text())["iterations"]
+    assert result["iterations"] == iterations and iterations % 10 != 0
+    assert result["passes"] == iterations * 20 / 200
+    last = (out / "trace.csv").read_text().splitlines()[-1].split(",")
+    assert int(last[0]) == iterations and float(last[3]) == result["final_residual"]
 
 
 def test_solve_divergence_exit_code(tmp_path):
@@ -170,6 +179,40 @@ def test_infer_with_samples_and_determinism(tmp_path):
     assert (out1 / "metrics.json").read_bytes() == (out2 / "metrics.json").read_bytes()
     header = (out1 / "predictions.csv").read_text().splitlines()[0]
     assert header.startswith("point_id,mean,variance,sample_0")
+
+
+def test_infer_predictions_match_the_per_element_writer(tmp_path, monkeypatch):
+    # the row writer formats each value as repr(float(value)), column by column
+    data = sine_csv(tmp_path, n=60)
+    cfg = write_config(
+        tmp_path,
+        {
+            "problem": {"type": "csv", "path": data, "target_column": "y",
+                        "test_fraction": 0.25},
+            "kernel": {"family": "rbf", "lengthscales": 1.0},
+            "run": {"lam": 0.05, "solver_id": "adasap", "blocksize": 15, "max_passes": 4,
+                    "residual_every": 0, "seed": 2},
+            "infer": {"num_samples": 3, "num_features": 64},
+        },
+    )
+    drawn = []
+
+    def recording(*args, **kwargs):
+        drawn.append(pathwise_sample(*args, **kwargs))
+        return drawn[-1]
+
+    pathwise_sample = sapgp.cli.pathwise_sample
+    monkeypatch.setattr(sapgp.cli, "pathwise_sample", recording)
+    out = tmp_path / "o"
+    assert run_cli("--config", cfg, "--out", str(out), "infer") == 0
+    samples, = drawn
+    columns = [samples.mean_values, samples.predictive_variance(0.05)] + [
+        samples.sample_values[:, i] for i in range(3)]
+    lines = ["point_id,mean,variance,sample_0,sample_1,sample_2\n"] + [
+        f"{i}," + ",".join(repr(float(col[i])) for col in columns) + "\n"
+        for i in range(len(samples.mean_values))]
+    assert len(lines) == 16
+    assert (out / "predictions.csv").read_bytes() == "".join(lines).encode()
 
 
 def test_infer_diverged_solve_exits_2_without_predictions(tmp_path, capsys):

@@ -507,18 +507,29 @@ def test_adasap_converges_to_constructed_solution():
     assert np.linalg.norm(res.W - ones) / np.linalg.norm(ones) <= 1e-3
 
 
+def assert_confirmed_divergence(oracle, y, res, before):
+    """A divergence stop on a step off the row cadence, before step ``before``:
+    one true check, whose finite value above 1e6 is the last row."""
+    assert res.diverged and res.iterations < before
+    assert res.true_checks == 1
+    last = res.trace.records[-1].residual
+    assert math.isfinite(last) and last > solvers.DIVERGENCE_FACTOR
+    assert last == relative_residual(oracle, res.W, y)
+    assert np.isnan(res.trace.residuals()[:-1]).all()
+
+
 @pytest.mark.parametrize("residual_every", [0, 300])
 def test_adasap_divergence_detected_between_residual_checks(residual_every):
-    # an oversized momentum pair overflows the iterates long before a residual is due
+    # an oversized momentum pair blows the carried residual up long before a
+    # residual is due; the step it passes 1e6 is confirmed, before the iterates
+    # overflow (at step 208, where a cadence-only rule stopped)
     oracle, rng = rbf_oracle(200, 1e-2)
     y = rng.standard_normal(200)
     cfg = RunConfig(lam=1e-2, solver_id="adasap", blocksize=20, nystrom_rank=10,
                     mu=10.0, nu=0.01, max_iters=300, residual_every=residual_every)
     with np.errstate(over="ignore", invalid="ignore"):
         res = adasap_solve(oracle, y, cfg)
-    assert res.diverged
-    assert res.iterations < 300
-    assert res.trace.records[-1].residual == np.inf
+    assert_confirmed_divergence(oracle, y, res, before=208)
 
 
 def test_solver_dispatch_unknown():
@@ -598,9 +609,7 @@ def test_sdd_divergence_detected_without_residual_checks():
     cfg = RunConfig(lam=1e-3, solver_id="sdd", stepsize_scale=1000.0, blocksize=20,
                     max_passes=60.0, residual_every=0)
     res = sdd_solve(oracle, y, cfg)
-    assert res.diverged
-    assert res.iterations < 600
-    assert res.trace.records[-1].residual == np.inf
+    assert_confirmed_divergence(oracle, y, res, before=224)
 
 
 # ---------------------------------------------------------------------------
@@ -811,7 +820,8 @@ def test_tol_stop_makes_one_true_check(solver_id):
 @pytest.mark.parametrize("claimed, row", [(0.0, 1.0), (1e20, 1.0)])
 def test_failed_confirm_records_the_true_value_and_goes_on(claimed, row):
     # a step that claims a residual far from the truth: W stays 0, so the true
-    # relative residual is 1; every due row confirms the claimed stop and fails
+    # relative residual is 1; step 1 confirms the claimed stop off the cadence
+    # and fails, and from then on only the due rows confirm it, each failing
     oracle, rng = rbf_oracle(20, 0.5)
     Y2 = rng.standard_normal((20, 1))
     W = np.zeros((20, 1))
@@ -819,11 +829,50 @@ def test_failed_confirm_records_the_true_value_and_goes_on(claimed, row):
     result = _drive(oracle, Y2, False, config, 5, 6, lambda t: None,
                     lambda prepared: (1.0, claimed), W, None, None)
     assert not result.diverged and result.iterations == 6
-    assert result.true_checks == 3
+    assert result.true_checks == 4
     assert result.max_residual_gap == abs(math.sqrt(claimed) / np.linalg.norm(Y2) - row)
     residuals = result.trace.residuals()
-    assert np.array_equal(residuals[1::2], [row] * 3)
-    assert np.isnan(residuals[0::2]).all()
+    assert np.array_equal(residuals[[0, 1, 3, 5]], [row] * 4)
+    assert np.isnan(residuals[[2, 4]]).all()
+
+
+@pytest.mark.parametrize("solver_id", ["sap", "adasap"])
+def test_tol_met_between_rows_stops_at_that_step(solver_id):
+    # tol is tested at every step: the run ends at the first step whose carried
+    # residual meets it, between two rows of the cadence, with one true check
+    inner, rng = rbf_oracle(600, 1e-2, seed=8)
+    y = rng.standard_normal(600)
+    config = RunConfig(lam=1e-2, solver_id=solver_id, blocksize=60, nystrom_rank=30,
+                       tol=0.05, max_passes=40, residual_every=10, seed=3)
+    rows = solve(inner, y, replace(config, tol=None, residual_every=1)).trace.residuals()
+    first = int(np.argmax(rows <= 0.05)) + 1
+    oracle = CountingOracle(inner)
+    result = solve(oracle, y, config)
+    assert not result.diverged
+    assert result.iterations == first and first % 10 != 0
+    assert result.true_checks == oracle.matmuls == 1
+    assert result.trace.final_residual() == relative_residual(inner, result.W, y) <= 0.05
+    assert result.passes == result.iterations * 60 / 600
+
+
+def test_false_claim_between_rows_runs_one_off_cadence_confirm():
+    # W stays 0, so the true relative residual is 1 and every claimed stop is
+    # false. The first claim, at step 3, is confirmed off the cadence and
+    # fails; after that only the due row 10 confirms, and steps 7 and 8 do not
+    inner, rng = rbf_oracle(20, 0.5)
+    oracle = CountingOracle(inner)
+    Y2 = rng.standard_normal((20, 1))
+    honest = float(np.sum(Y2 ** 2))
+    config = RunConfig(lam=0.5, max_iters=12, residual_every=5, tol=0.5)
+    result = _drive(oracle, Y2, False, config, 5, 12, lambda t: t + 1,
+                    lambda step: (1.0, 0.0 if step in (3, 7, 8, 10) else honest),
+                    np.zeros((20, 1)), None, None)
+    assert not result.diverged and result.iterations == 12
+    assert result.true_checks == oracle.matmuls == 2
+    rows = result.trace.residuals()
+    assert np.array_equal(rows[[2, 9]], [1.0, 1.0])
+    assert np.isfinite(rows[[4, 11]]).all()  # due rows without a claim: carried
+    assert np.isnan(np.delete(rows, [2, 4, 9, 11])).all()
 
 
 # ---------------------------------------------------------------------------
@@ -875,13 +924,24 @@ class RecordingPool(WorkerPool):
         return future
 
 
+def tol_first_met_at(oracle, y, config, step):
+    """A ``tol`` that the carried residual of ``config``'s run first meets
+    after ``step`` steps: between that row and the smallest row before it."""
+    probe = solve(oracle, y, replace(config, tol=None, max_iters=step, residual_every=1))
+    rows = probe.trace.residuals()
+    assert rows[-1] < rows[:-1].min()
+    return math.sqrt(rows[-1] * rows[:-1].min())
+
+
 def test_tol_stop_leaves_no_running_look_ahead():
-    inner, rng = rbf_oracle(300, 1e-2)
+    inner, _ = rbf_oracle(300, 1e-2)
+    y = np.ones(300)  # the carried residual falls over the first steps
     oracle = SlowBlocks(inner, delay=0.2)
-    config = RunConfig(lam=1e-2, solver_id="sap", blocksize=30, max_iters=50, tol=1e9,
+    config = RunConfig(lam=1e-2, solver_id="sap", blocksize=30, max_iters=50,
                        residual_every=3)
+    config = replace(config, tol=tol_first_met_at(inner, y, config, 3))
     pool = RecordingPool(2)
-    result = solve(oracle, rng.standard_normal(300), config, pool=pool)
+    result = solve(oracle, y, config, pool=pool)
     assert result.iterations == 3
     assert len(pool.futures) == 3  # prepare(1), prepare(2) and the unused prepare(3)
     assert all(future.done() for future in pool.futures)
@@ -903,9 +963,10 @@ def test_failed_preparation_raises_at_its_own_step(workers):
     assert seen == [1, 2, 3, 4]  # steps 0..3 ran, step 4 did not
     # a tol stop at step 3 discards the failing prepare(4) without raising; the
     # slow column pass of step 3 gives the look-ahead time to start prepare(4)
-    stopping = RunConfig(lam=1e-2, solver_id="sap", blocksize=30, max_iters=20, tol=1e9,
-                         residual_every=fail_at)
+    ones = np.ones(300)  # the carried residual falls over the first steps
+    stopping = replace(config, tol=tol_first_met_at(inner, ones, config, fail_at),
+                       residual_every=fail_at)
     oracle = SlowBlocks(inner, fail_at=fail_at, tile_delay=0.05)
-    result = solve_on(oracle, y, stopping, workers)
+    result = solve_on(oracle, ones, stopping, workers)
     assert result.iterations == fail_at
     assert oracle.calls == (fail_at + 1 if workers and workers > 1 else fail_at)
