@@ -101,8 +101,9 @@ PROBLEM_KEYS = {
 
 
 def _run_config(tree):
-    """The ``run`` section of a ``solve`` or ``infer`` command, refused where a
-    solver would ignore a setting."""
+    """The ``run`` section of a ``solve`` or ``infer`` command. A setting its
+    solver does not read is a ConfigError here, before the problem is built;
+    checks against the problem size (blocksize, rank) run inside the solve."""
     run_config = RunConfig.from_dict(tree.get("run", {}))
     run_config.reject_ignored()
     return run_config
@@ -144,8 +145,10 @@ def cmd_solve(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     oracle, y, _ = _build_problem(tree, run_config)
-    run_config.validate_for(oracle.n)
-    result = solve(oracle, y, run_config)
+    with WorkerPool(run_config.num_workers) as pool:
+        result = solve(oracle, y, run_config, pool=pool)
+        # one full product beyond the run, so `passes` leaves it out
+        true_residual = relative_residual(oracle, result.W, y, pool)
     result.trace.to_csv(out_dir / "trace.csv")
     np.save(out_dir / "weights.npy", result.W)
     _write_json(
@@ -155,8 +158,7 @@ def cmd_solve(args):
             "iterations": result.iterations,
             "passes": result.passes,
             "final_residual": result.trace.final_residual(),
-            # one full product beyond the run, so `passes` leaves it out
-            "final_true_residual": relative_residual(oracle, result.W, y),
+            "final_true_residual": true_residual,
             "true_checks": result.true_checks,
             "max_residual_gap": result.max_residual_gap,
         },
@@ -186,7 +188,6 @@ def cmd_infer(args):
     if bundle is None or bundle[1] is None:
         raise ConfigError("infer needs a csv problem with a test_fraction")
     train, test, spec = bundle
-    run_config.validate_for(oracle.n)
 
     def solve_fn(orc, rhs):
         result = solve(orc, rhs, run_config)

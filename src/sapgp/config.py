@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -64,58 +64,59 @@ def read_section(section, values, table):
             for key, (default, kind, *lower) in table.items()}
 
 
-# {field: (kind, lower bound)} for read_section; stepsize_scale = 0 freezes a solver
-_RUN_FIELDS = {
-    "lam": (float, "> 0"), "blocksize": ((None, int), ">= 1"),
-    "nystrom_rank": ((None, int), ">= 0"), "max_passes": ((None, float), "> 0"),
-    "max_iters": ((None, int), ">= 1"), "solver_id": (SOLVERS, None),
-    "tail_average": (bool, None), "seed": (int, ">= 0"),
-    "num_workers": (int, ">= 1"), "mu": (("default", float), "> 0"),
-    "nu": (("default", float), "> 0"), "stepsize_scale": (float, ">= 0"),
-    "tol": ((None, float), ">= 0"), "residual_every": (int, ">= 0"),
-}
+def _setting(default, kind, lower=None, readers=SOLVERS):
+    """A ``RunConfig`` field: its default, its kind and lower bound (as in
+    ``read_section``) and the solvers that read it."""
+    return field(default=default, metadata={"rule": (kind, lower), "readers": readers})
 
 
 @dataclass
 class RunConfig:
-    """Solver run parameters; one root seed determines all randomness."""
+    """Solver run parameters; one root seed determines all randomness.
 
-    lam: float = 1e-3
-    blocksize: int | None = None
-    nystrom_rank: int | None = None
-    max_passes: float | None = 50.0
-    max_iters: int | None = None
-    solver_id: str = "adasap"
-    tail_average: bool = False
-    seed: int = 0
-    num_workers: int = 1
-    mu: float | str = "default"
-    nu: float | str = "default"
-    stepsize_scale: float = 10.0
-    tol: float | None = None
-    residual_every: int = 1
+    Each field declares the solvers that read it. ``lam`` is read by all:
+    the CLI builds the oracle from it, while the library solvers take
+    ``oracle.lam``.
+    """
+
+    lam: float = _setting(1e-3, float, "> 0")
+    blocksize: int | None = _setting(None, (None, int), ">= 1",
+                                     ("sap", "adasap", "adasap_i", "sdd"))
+    nystrom_rank: int | None = _setting(None, (None, int), ">= 0", ("adasap", "pcg"))
+    max_passes: float | None = _setting(50.0, (None, float), "> 0")
+    max_iters: int | None = _setting(None, (None, int), ">= 1")
+    solver_id: str = _setting("adasap", SOLVERS)
+    tail_average: bool = _setting(False, bool, readers=("sap", "adasap", "adasap_i"))
+    seed: int = _setting(0, int, ">= 0")
+    num_workers: int = _setting(1, int, ">= 1")
+    mu: float | str = _setting("default", ("default", float), "> 0", ("adasap", "adasap_i"))
+    nu: float | str = _setting("default", ("default", float), "> 0", ("adasap", "adasap_i"))
+    stepsize_scale: float = _setting(10.0, float, ">= 0", ("sdd",))  # 0 freezes a solver
+    tol: float | None = _setting(None, (None, float), ">= 0")
+    residual_every: int = _setting(1, int, ">= 0")
 
     def __post_init__(self):
-        values = {name: getattr(self, name) for name in _RUN_FIELDS}
-        table = {name: (None, *rule) for name, rule in _RUN_FIELDS.items()}
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        table = {f.name: (None, *f.metadata["rule"]) for f in fields(self)}
         for name, value in read_section(None, values, table).items():
             setattr(self, name, value)
         if self.max_passes is None and self.max_iters is None:
             raise ConfigError("need max_passes or max_iters")
 
     def reject_ignored(self, solver=None):
-        """ConfigError if ``solver`` (by default ``solver_id``) would ignore a
-        set ``tail_average``."""
+        """ConfigError for the first field, in declaration order, that differs
+        from its default and that ``solver`` (by default ``solver_id``) does
+        not read; then for a ``max_passes`` other than null or its default
+        next to a ``max_iters``, which overrides it."""
         solver = self.solver_id if solver is None else solver
-        if self.tail_average and solver in ("sdd", "pcg"):
-            raise ConfigError(f"run.tail_average = true is ignored by solver {solver!r}; "
-                              "only sap, adasap, adasap_i read it")
-
-    def validate_for(self, n):
-        """Size-dependent checks once the problem size is known."""
-        blocksize = resolve_blocksize(self, n)
-        if self.solver_id == "adasap":
-            resolve_rank(self, blocksize)
+        for f in fields(self):
+            value, readers = getattr(self, f.name), f.metadata["readers"]
+            if solver not in readers and value != f.default:
+                raise ConfigError(f"run.{f.name} = {json.dumps(value)} is ignored by solver "
+                                  f"{solver!r}; only {', '.join(readers)} read it")
+        if self.max_iters is not None and self.max_passes not in (None, RunConfig.max_passes):
+            raise ConfigError(f"max_iters must be null when max_passes is set, got max_iters = "
+                              f"{self.max_iters} and max_passes = {self.max_passes!r}")
 
     @classmethod
     def from_dict(cls, values):

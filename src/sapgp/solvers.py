@@ -19,6 +19,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -414,6 +415,7 @@ def sap_solve(oracle, Y, config, dpp_model=None, pool=None, on_iterate=None,
     for m columns (6.5 MB at m = 100, b = 32, n = 256), and the look-ahead
     holds two preparations at once.
     """
+    config.reject_ignored("sap")
     n = oracle.n
     Y2, vector = _as_columns(Y, n)
     if dpp_model is not None:
@@ -678,23 +680,15 @@ def pcg_solve(oracle, Y, config, pool=None, on_iterate=None):
 def solve(oracle, Y, config, pool=None, on_iterate=None):
     """Run the solver selected by ``config.solver_id``; a setting that solver
     would ignore is a ConfigError."""
+    entry = {"sap": sap_solve, "adasap": adasap_solve, "sdd": sdd_solve, "pcg": pcg_solve,
+             "adasap_i": partial(adasap_solve, identity_precond=True)}.get(config.solver_id)
+    if entry is None:
+        raise ConfigError(f"unknown solver {config.solver_id!r}")
     own_pool = None
     if pool is None and config.num_workers > 1:
         own_pool = pool = WorkerPool(config.num_workers)
     try:
-        if config.solver_id == "sap":
-            return sap_solve(oracle, Y, config, pool=pool, on_iterate=on_iterate)
-        if config.solver_id == "adasap":
-            return adasap_solve(oracle, Y, config, pool=pool, on_iterate=on_iterate)
-        if config.solver_id == "adasap_i":
-            return adasap_solve(
-                oracle, Y, config, identity_precond=True, pool=pool, on_iterate=on_iterate
-            )
-        if config.solver_id == "sdd":
-            return sdd_solve(oracle, Y, config, pool=pool, on_iterate=on_iterate)
-        if config.solver_id == "pcg":
-            return pcg_solve(oracle, Y, config, pool=pool, on_iterate=on_iterate)
-        raise ConfigError(f"unknown solver {config.solver_id!r}")
+        return entry(oracle, Y, config, pool=pool, on_iterate=on_iterate)
     finally:
         if own_pool is not None:
             own_pool.close()

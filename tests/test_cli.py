@@ -1,4 +1,7 @@
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from hypothesis import strategies as st
 
 import sapgp.cli
 from sapgp.cli import main
-from sapgp.config import apply_overrides
+from sapgp.config import SOLVERS, RunConfig, apply_overrides
 
 
 def run_cli(*args):
@@ -288,9 +291,10 @@ def test_workers_flag_does_not_change_results(tmp_path):
         out = tmp_path / f"w{workers}"
         assert run_cli("--config", cfg, "--out", str(out), "--workers",
                        str(workers), "solve") == 0
-        outs.append(np.load(out / "weights.npy"))
-    assert np.array_equal(outs[0], outs[1])
-    assert np.array_equal(outs[0], outs[2])
+        outs.append((np.load(out / "weights.npy"), (out / "result.json").read_text()))
+    for weights, result in outs[1:]:
+        assert np.array_equal(weights, outs[0][0])
+        assert result == outs[0][1]
 
 
 def test_set_override_reaches_manifest(tmp_path):
@@ -331,14 +335,28 @@ def test_bench_writes_timings(tmp_path):
     "run.max_passes=inf", "run.blocksize=abc", "run.residual_every=x", "run.lam=abc",
     "run.seed=1.5", "run.tail_average=no", "run.max_iters=0", "run.max_iters=-3",
     "run.max_passes=-1", "run.max_passes=0", "run.tol=-1e-3", "run.stepsize_scale=-1",
+    "run.max_iters=5 run.max_passes=10",
 ])
 def test_bad_run_value_is_one_error_line(tmp_path, capsys, override):
-    code = run_cli("--out", str(tmp_path / "out"), "--set", "problem.n=50",
-                   "--set", override, "solve")
+    sets = [arg for item in override.split() for arg in ("--set", item)]
+    code = run_cli("--out", str(tmp_path / "out"), "--set", "problem.n=50", *sets, "solve")
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
     key = override.partition("=")[0].removeprefix("run.")
     assert len(err) == 1 and err[0].startswith(f"error: {key} must be")
+
+
+def test_readme_settings_table_matches_the_declaration():
+    # README's "read by" column names the readers each RunConfig field declares
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {}
+    for line in readme.splitlines():
+        if line.startswith("| `run."):
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            readers = SOLVERS if cells[-1] == "all" else re.findall(r"`(\w+)`", cells[-1])
+            rows.update(dict.fromkeys(re.findall(r"`run\.(\w+)`", cells[0]), set(readers)))
+    declared = {f.name: set(f.metadata["readers"]) for f in fields(RunConfig)}
+    assert rows == declared
 
 
 @pytest.mark.parametrize("command", ["solve", "infer"])

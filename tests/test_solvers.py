@@ -1,4 +1,6 @@
+import json
 import math
+import re
 import time
 from dataclasses import replace
 from types import SimpleNamespace
@@ -28,7 +30,7 @@ from sapgp import (
     sdd_solve,
     solve,
 )
-from sapgp import solvers
+from sapgp import cli, solvers
 from sapgp.dist import TILE
 from sapgp.randnla import rand_power_stepsize
 from sapgp.rng import substream
@@ -45,6 +47,27 @@ def rbf_oracle(n, lam, seed=0, ls=0.5, d=2):
 
 def system_matrix(oracle):
     return oracle.dense() + oracle.lam * np.eye(oracle.n)
+
+
+# the solvers that read each setting outside the group every solver reads, and
+# a value other than its default
+READ_BY = {
+    "blocksize": (("sap", "adasap", "adasap_i", "sdd"), 4),
+    "nystrom_rank": (("adasap", "pcg"), 2),
+    "tail_average": (("sap", "adasap", "adasap_i"), True),
+    "mu": (("adasap", "adasap_i"), 2.0),
+    "nu": (("adasap", "adasap_i"), 3.0),
+    "stepsize_scale": (("sdd",), 1.0),
+}
+IGNORED = [(solver, key) for key, (readers, _) in READ_BY.items()
+           for solver in ("sap", "adasap", "adasap_i", "sdd", "pcg") if solver not in readers]
+
+
+def config_for(solver_id, **settings):
+    """``RunConfig(solver_id=solver_id, **settings)`` without the settings of
+    READ_BY that ``solver_id`` does not read."""
+    return RunConfig(solver_id=solver_id, **{key: value for key, value in settings.items()
+                                             if key not in READ_BY or solver_id in READ_BY[key][0]})
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +468,7 @@ def test_adasap_step_rejects_an_aliased_state():
 def test_lam_near_eps_on_identical_points(solver_id, lam):
     # K[B,B] is the all-ones matrix: a block solve sees lam alone on its null space
     oracle = KernelOracle(KernelSpec("rbf", [1.0]), np.zeros((3, 2)), lam)
-    cfg = RunConfig(lam=lam, solver_id=solver_id, blocksize=3, max_iters=20, seed=1)
+    cfg = config_for(solver_id, lam=lam, blocksize=3, max_iters=20, seed=1)
     y = np.array([1.0, -2.0, 0.5])
     try:
         result = solve(oracle, y, cfg)
@@ -543,7 +566,7 @@ def test_solver_dispatch_unknown():
 @pytest.mark.parametrize("solver_id", ["sdd", "pcg"])
 def test_solve_rejects_tail_average_the_solver_ignores(solver_id):
     oracle, rng = rbf_oracle(10, 0.5)
-    cfg = RunConfig(lam=0.5, solver_id=solver_id, tail_average=True, blocksize=4, max_iters=2)
+    cfg = RunConfig(lam=0.5, solver_id=solver_id, tail_average=True, max_iters=2)
     message = rf"^run\.tail_average = true is ignored by solver '{solver_id}'"
     with pytest.raises(ConfigError, match=message):
         solve(oracle, rng.standard_normal(10), cfg)
@@ -555,9 +578,41 @@ def test_solve_rejects_tail_average_the_solver_ignores(solver_id):
 ])
 def test_entry_points_reject_settings_they_ignore(entry, setting, message):
     oracle, rng = rbf_oracle(10, 0.5)
-    cfg = RunConfig(lam=0.5, blocksize=4, nystrom_rank=2, max_iters=2, **setting)
+    cfg = RunConfig(lam=0.5, max_iters=2, **setting)
     with pytest.raises(ConfigError, match=message):
         entry(oracle, rng.standard_normal(10), cfg)
+
+
+ENTRY_POINTS = {"sap": sap_solve, "adasap": adasap_solve,
+                "adasap_i": lambda *args: adasap_solve(*args, identity_precond=True),
+                "sdd": sdd_solve, "pcg": pcg_solve}
+
+
+def ignored_message(solver, key):
+    readers, value = READ_BY[key]
+    return (rf"^run\.{key} = {json.dumps(value)} is ignored by solver '{solver}'; "
+            rf"only {', '.join(readers)} read it$")
+
+
+@pytest.mark.parametrize("solver, key", IGNORED)
+def test_every_entry_point_rejects_each_setting_it_ignores(solver, key):
+    oracle, rng = rbf_oracle(10, 0.5)
+    cfg = RunConfig(lam=0.5, solver_id=solver, max_iters=2, **{key: READ_BY[key][1]})
+    for entry in (ENTRY_POINTS[solver], solve):
+        with pytest.raises(ConfigError, match=ignored_message(solver, key)):
+            entry(oracle, rng.standard_normal(10), cfg)
+
+
+@pytest.mark.parametrize("solver, key", IGNORED)
+def test_cli_rejects_each_setting_its_solver_ignores(tmp_path, capsys, solver, key):
+    value = json.dumps(READ_BY[key][1])
+    out = tmp_path / "out"
+    code = cli.main(["--out", str(out), "--set", "problem.n=50", "--set",
+                     f"run.solver_id={solver}", "--set", f"run.{key}={value}", "solve"])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and re.match(ignored_message(solver, key), err[0].removeprefix("error: "))
+    assert not out.exists()
 
 
 def test_entry_point_check_follows_the_function_not_solver_id():
@@ -723,8 +778,8 @@ def assert_bitwise_for_every_pool(oracle, Y, config):
 def test_edge_sizes_full_block_bitwise_across_workers(solver_id, n):
     oracle, rng = rbf_oracle(n, 1e-2, seed=n)
     Y = rng.standard_normal((n, 2))
-    config = RunConfig(lam=1e-2, solver_id=solver_id, blocksize=n, nystrom_rank=n,
-                       max_iters=3, residual_every=1, seed=5, stepsize_scale=1.0)
+    config = config_for(solver_id, lam=1e-2, blocksize=n, nystrom_rank=n, max_iters=3,
+                        residual_every=1, seed=5, stepsize_scale=1.0)
     serial = assert_bitwise_for_every_pool(oracle, Y, config)
     assert not serial.diverged and serial.iterations == 3 and serial.passes == 3.0
     # a budget stop keeps the carried residual in its last row: no full product ran
@@ -758,9 +813,9 @@ def test_carried_rows_match_true_residuals(solver_id, tail_average, n, blocksize
     oracle, rng = rbf_oracle(n, 1e-2, seed=n)
     Y = rng.standard_normal((n, 2))
     iters = 6 if blocksize == n else 40
-    config = RunConfig(lam=1e-2, solver_id=solver_id, blocksize=blocksize,
-                       nystrom_rank=min(blocksize, 30), max_iters=iters, residual_every=1,
-                       seed=2, stepsize_scale=1.0, tail_average=tail_average)
+    config = config_for(solver_id, lam=1e-2, blocksize=blocksize,
+                        nystrom_rank=min(blocksize, 30), max_iters=iters, residual_every=1,
+                        seed=2, stepsize_scale=1.0, tail_average=tail_average)
     averager = TailAverager(iters, Y.shape)
     true, xnorm = [], 0.0
 
@@ -803,8 +858,8 @@ def test_tol_stop_makes_one_true_check(solver_id):
     inner, rng = rbf_oracle(600, 1e-2, seed=8)
     oracle = CountingOracle(inner)
     y = rng.standard_normal(600)
-    config = RunConfig(lam=1e-2, solver_id=solver_id, blocksize=60, nystrom_rank=30,
-                       tol=0.05, max_passes=40, residual_every=10, seed=3)
+    config = config_for(solver_id, lam=1e-2, blocksize=60, nystrom_rank=30, tol=0.05,
+                        max_passes=40, residual_every=10, seed=3)
     result = solve(oracle, y, config)
     assert not result.diverged and result.passes < 40  # stopped by tol
     assert result.true_checks == 1
@@ -842,8 +897,8 @@ def test_tol_met_between_rows_stops_at_that_step(solver_id):
     # residual meets it, between two rows of the cadence, with one true check
     inner, rng = rbf_oracle(600, 1e-2, seed=8)
     y = rng.standard_normal(600)
-    config = RunConfig(lam=1e-2, solver_id=solver_id, blocksize=60, nystrom_rank=30,
-                       tol=0.05, max_passes=40, residual_every=10, seed=3)
+    config = config_for(solver_id, lam=1e-2, blocksize=60, nystrom_rank=30, tol=0.05,
+                        max_passes=40, residual_every=10, seed=3)
     rows = solve(inner, y, replace(config, tol=None, residual_every=1)).trace.residuals()
     first = int(np.argmax(rows <= 0.05)) + 1
     oracle = CountingOracle(inner)
@@ -883,8 +938,8 @@ def test_false_claim_between_rows_runs_one_off_cadence_confirm():
 def test_look_ahead_bitwise_for_every_pool(solver_id):
     # distinct blocks, sketches and power starts at every step
     oracle, rng = rbf_oracle(600, 1e-2, seed=3)
-    config = RunConfig(lam=1e-2, solver_id=solver_id, blocksize=60, nystrom_rank=30,
-                       max_iters=12, residual_every=1, seed=5, stepsize_scale=1.0)
+    config = config_for(solver_id, lam=1e-2, blocksize=60, nystrom_rank=30, max_iters=12,
+                        residual_every=1, seed=5, stepsize_scale=1.0)
     assert assert_bitwise_for_every_pool(oracle, rng.standard_normal((600, 2)),
                                          config).iterations == 12
 
